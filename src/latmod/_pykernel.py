@@ -5,9 +5,6 @@ where keys are packed monomials (see packing.py) and coefficients are
 nonzero ints: reduced residues for GF(p), arbitrary integers for the
 characteristic-0 path (which runs fraction-free; rational results are
 recovered from the returned multiplier pair).
-
-The compiled twin in _speedups.pyx mirrors this module function for
-function; latmod.kernel picks one at import time.
 """
 
 from __future__ import annotations
@@ -67,8 +64,7 @@ def nf(f, basis, pk, p):
         return [], 1, 1
     lms = [g[0][0] for g in basis]
     lcs = [g[0][1] for g in basis]
-    nb = len(basis)
-    divides = pk.divides
+    first_divisor = pk.first_divisor(lms)
     quotient = pk.quotient
     mul = pk.mul
     work = {}
@@ -86,11 +82,7 @@ def nf(f, basis, pk, p):
             c %= p
         if c == 0:
             continue
-        red = -1
-        for i in range(nb):
-            if divides(lms[i], m):
-                red = i
-                break
+        red = first_divisor(m)
         if red < 0:
             tail[m] = tail.get(m, 0) + c
             continue

@@ -1,38 +1,11 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The polynomial kernel: re-exports of the pure-Python implementation."""
 
-Set LATMOD_PURE=1 to force the pure-Python kernel (used by the parity
-tests and the benchmark).
-"""
-
-from __future__ import annotations
-
-import os
-
-from . import _pykernel
-
-if os.environ.get("LATMOD_PURE"):
-    impl = _pykernel
-else:
-    try:
-        from . import _speedups as impl  # type: ignore[no-redef]
-    except ImportError:
-        impl = _pykernel
-
-KERNEL_KIND = impl.KERNEL_KIND
-
-nf = impl.nf
-spoly = impl.spoly
-buchberger = impl.buchberger
-interreduce = impl.interreduce
-normalize_int = impl.normalize_int
-normalize_mod = impl.normalize_mod
-
-
-def kernels():
-    """Both kernel modules, for parity tests and benchmarks."""
-    try:
-        from . import _speedups
-
-        return {"python": _pykernel, "cython": _speedups}
-    except ImportError:
-        return {"python": _pykernel}
+from ._pykernel import (  # noqa: F401
+    KERNEL_KIND,
+    buchberger,
+    interreduce,
+    nf,
+    normalize_int,
+    normalize_mod,
+    spoly,
+)

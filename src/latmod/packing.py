@@ -17,7 +17,7 @@ constant, and divisibility is the classic guard-bit borrow test.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 WIDTH = 16
 GUARD = 1 << (WIDTH - 1)
@@ -120,7 +120,10 @@ class Packing:
         return MAXE - v if self.negated else v
 
     def mul(self, a: int, b: int) -> int:
-        return a + b - self.mul_offset
+        key = a + b - self.mul_offset
+        if key & self.exp_guard_mask:
+            raise OverflowError("monomial product exceeds the packing range")
+        return key
 
     def divides(self, b: int, a: int) -> bool:
         """True iff monomial b divides monomial a."""
@@ -131,6 +134,38 @@ class Packing:
         g = self.exp_guard_mask
         m = self.exp_all_mask
         return (((x & m) | g) - (y & m)) & g == g
+
+    def first_divisor(self, leads: Sequence[int]) -> Callable[[int], int]:
+        """Finder for the index of the first key in ``leads`` dividing a key.
+
+        The returned function maps ``a`` to the least ``i`` with
+        ``divides(leads[i], a)``, or -1 when there is none.  The masked
+        lead keys are computed once, so each query is one borrow test per
+        lead.
+        """
+        g = self.exp_guard_mask
+        m = self.exp_all_mask
+        if self.negated:
+            xs = [(b & m) | g for b in leads]
+
+            def find(a: int) -> int:
+                y = a & m
+                for i, x in enumerate(xs):
+                    if (x - y) & g == g:
+                        return i
+                return -1
+
+        else:
+            ys = [b & m for b in leads]
+
+            def find(a: int) -> int:
+                x = (a & m) | g
+                for i, y in enumerate(ys):
+                    if (x - y) & g == g:
+                        return i
+                return -1
+
+        return find
 
     def quotient(self, a: int, b: int) -> int:
         """Key of a/b; caller must know b | a."""

@@ -253,6 +253,97 @@ def _a_monomial(ring: PolyRing, lo: int, hi: int) -> MultiPoly:
     return out
 
 
+def _j3(ring: PolyRing, tag: str, i: int, j: int) -> MultiPoly:
+    """Entry (i, j) of the antisymmetric, zero-diagonal unknown ``tag``."""
+    if i == j:
+        return ring.zero
+    if i < j:
+        return ring.var(f"{tag}_{i}_{j}")
+    return -ring.var(f"{tag}_{j}_{i}")
+
+
+def _pairing_unknowns(g: int) -> List[str]:
+    """J1[0], J1[N] (all entries), then J3[0], J3[N] (strict upper)."""
+    names: List[str] = []
+    for tag in ("J0_1", "JN_1"):
+        for i in range(1, g + 1):
+            for j in range(1, g + 1):
+                names.append(f"{tag}_{i}_{j}")
+    for tag in ("J0_3", "JN_3"):
+        for i in range(1, g + 1):
+            for j in range(i + 1, g + 1):
+                names.append(f"{tag}_{i}_{j}")
+    return names
+
+
+Relation = Tuple[int, int, int, MultiPoly]  # (family, i, j, polynomial)
+
+
+def _pairing_relations(ring: PolyRing, g: int) -> List[Relation]:
+    """The three torsion-killed relation families as (family, i, j, rel).
+
+    Family 1 (i <= j):  J1[0]^i_j + a_i...a_{j-1} J1[N]^i_j
+    Family 2 (j <= i):  J1[N]^i_j + a_j...a_{i-1} J1[0]^i_j
+    Family 3 (i <= j):  J1[N]^i_j + J1[0]^j_i - a_0...a_{i-1} J3[N]^i_j
+                          + a_j...a_g J3[0]^i_j
+    """
+    var = ring.var
+    rels = []
+    for i in range(1, g + 1):
+        for j in range(i, g + 1):
+            rel = var(f"J0_1_{i}_{j}") + _a_monomial(ring, i, j) * var(f"JN_1_{i}_{j}")
+            rels.append((1, i, j, rel))
+    for i in range(1, g + 1):
+        for j in range(1, i + 1):
+            rel = var(f"JN_1_{i}_{j}") + _a_monomial(ring, j, i) * var(f"J0_1_{i}_{j}")
+            rels.append((2, i, j, rel))
+    for i in range(1, g + 1):
+        for j in range(i, g + 1):
+            rel = (
+                var(f"JN_1_{i}_{j}")
+                + var(f"J0_1_{j}_{i}")
+                - _a_monomial(ring, 0, i) * _j3(ring, "JN_3", i, j)
+                + _a_monomial(ring, j, g + 1) * _j3(ring, "J0_3", i, j)
+            )
+            rels.append((3, i, j, rel))
+    return rels
+
+
+def _reduce_expr(f: MultiPoly, subs: Dict[str, MultiPoly]) -> MultiPoly:
+    """Substitute eliminated variables until none is left in f."""
+    mapping = {name: subs[name] for name in f.support_vars() if name in subs}
+    while mapping:
+        f = f.subs(mapping)
+        mapping = {name: subs[name] for name in f.support_vars() if name in subs}
+    return f
+
+
+def _eliminate(
+    ring: PolyRing, rels: Sequence[Relation]
+) -> Tuple[Dict[str, MultiPoly], List[RelationLogEntry]]:
+    """Ordered substitution through the relation families.
+
+    J1[0] (i <= j) via family 1, J1[N] (i > j) via family 2, J1[0]
+    (i > j) via family 3; the diagonal relations of families 2 and 3
+    must reduce to 0 and are logged as redundant.  Returns the
+    substitutions (eliminated variable -> expression) and the log.
+    """
+    subs: Dict[str, MultiPoly] = {}
+    log: List[RelationLogEntry] = []
+    for family, i, j, rel in rels:
+        if family == 1 or i != j:
+            # solve for the eliminated variable, whose coefficient is 1
+            var = {1: f"J0_1_{i}_{j}", 2: f"JN_1_{i}_{j}", 3: f"J0_1_{j}_{i}"}[family]
+            solved = ring.var(var) - rel
+            subs[var] = _reduce_expr(solved, subs) if family == 3 else solved
+            log.append(RelationLogEntry(family, i, j, "eliminated", var))
+        else:
+            if not _reduce_expr(rel, subs).is_zero():
+                raise AssertionError(f"family {family} diagonal ({i},{j}) not redundant")
+            log.append(RelationLogEntry(family, i, j, "redundant"))
+    return subs, log
+
+
 def sigma_fiber_freecount(g: int, field: Field = QQ) -> FiberCensus:
     """Free-coordinate census of the pairing unknowns over the diagonal chart.
 
@@ -266,105 +357,13 @@ def sigma_fiber_freecount(g: int, field: Field = QQ) -> FiberCensus:
     if g < 1:
         raise ValueError("need g >= 1")
     names = [f"a{i}" for i in range(g + 1)]
-    jnames: List[str] = []
-    for tag in ("J0_1", "JN_1"):
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                jnames.append(f"{tag}_{i}_{j}")
-    for tag in ("J0_3", "JN_3"):
-        for i in range(1, g + 1):
-            for j in range(i + 1, g + 1):
-                jnames.append(f"{tag}_{i}_{j}")
-    ring = PolyRing(field, names + jnames)
-
-    def j3(tag: str, i: int, j: int) -> MultiPoly:
-        # antisymmetric with zero diagonal
-        if i == j:
-            return ring.zero
-        if i < j:
-            return ring.var(f"{tag}_{i}_{j}")
-        return -ring.var(f"{tag}_{j}_{i}")
-
-    # relation polynomials, by family
-    def fam1(i: int, j: int) -> MultiPoly:
-        # J1[0]^i_j + a_i...a_{j-1} J1[N]^i_j = 0   (i <= j)
-        return ring.var(f"J0_1_{i}_{j}") + _a_monomial(ring, i, j) * ring.var(
-            f"JN_1_{i}_{j}"
-        )
-
-    def fam2(i: int, j: int) -> MultiPoly:
-        # J1[N]^i_j + a_j...a_{i-1} J1[0]^i_j = 0   (j <= i)
-        return ring.var(f"JN_1_{i}_{j}") + _a_monomial(ring, j, i) * ring.var(
-            f"J0_1_{i}_{j}"
-        )
-
-    def fam3(i: int, j: int) -> MultiPoly:
-        # J1[N]^i_j + J1[0]^j_i - a_0...a_{i-1} J3[N]^i_j
-        #   + a_j...a_g J3[0]^i_j = 0   (i <= j)
-        return (
-            ring.var(f"JN_1_{i}_{j}")
-            + ring.var(f"J0_1_{j}_{i}")
-            - _a_monomial(ring, 0, i) * j3("JN_3", i, j)
-            + _a_monomial(ring, j, g + 1) * j3("J0_3", i, j)
-        )
-
-    subs: Dict[str, MultiPoly] = {}
-    log: List[RelationLogEntry] = []
-
-    def reduce_expr(f: MultiPoly) -> MultiPoly:
-        mapping = {name: subs[name] for name in f.support_vars() if name in subs}
-        while mapping:
-            f = f.subs(mapping)
-            mapping = {
-                name: subs[name] for name in f.support_vars() if name in subs
-            }
-        return f
-
-    # family 1 eliminates J1[0] on the closed upper triangle
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            rel = fam1(i, j)
-            var = f"J0_1_{i}_{j}"
-            subs[var] = ring.var(var) - rel  # solve: coefficient of var is 1
-            log.append(RelationLogEntry(1, i, j, "eliminated", var))
-    # family 2: strict lower eliminates J1[N]; diagonal is redundant
-    for i in range(1, g + 1):
-        for j in range(1, i + 1):
-            rel = fam2(i, j)
-            if j < i:
-                var = f"JN_1_{i}_{j}"
-                subs[var] = ring.var(var) - rel
-                log.append(RelationLogEntry(2, i, j, "eliminated", var))
-            else:
-                if not reduce_expr(rel).is_zero():
-                    raise AssertionError(f"family 2 diagonal ({i},{j}) not redundant")
-                log.append(RelationLogEntry(2, i, j, "redundant"))
-    # family 3: strict upper eliminates J1[0] below the diagonal
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            rel = fam3(i, j)
-            if i < j:
-                var = f"J0_1_{j}_{i}"
-                solved = ring.var(var) - rel
-                subs[var] = reduce_expr(solved)
-                log.append(RelationLogEntry(3, i, j, "eliminated", var))
-            else:
-                if not reduce_expr(rel).is_zero():
-                    raise AssertionError(f"family 3 diagonal ({i},{i}) not redundant")
-                log.append(RelationLogEntry(3, i, j, "redundant"))
+    ring = PolyRing(field, names + _pairing_unknowns(g))
+    rels = _pairing_relations(ring, g)
+    subs, log = _eliminate(ring, rels)
     # flatten substitutions and re-verify every relation reduces to zero
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            if not reduce_expr(fam1(i, j)).is_zero():
-                raise AssertionError(f"family 1 ({i},{j}) failed to reduce")
-    for i in range(1, g + 1):
-        for j in range(1, i + 1):
-            if not reduce_expr(fam2(i, j)).is_zero():
-                raise AssertionError(f"family 2 ({i},{j}) failed to reduce")
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            if not reduce_expr(fam3(i, j)).is_zero():
-                raise AssertionError(f"family 3 ({i},{j}) failed to reduce")
+    for family, i, j, rel in rels:
+        if not _reduce_expr(rel, subs).is_zero():
+            raise AssertionError(f"family {family} ({i},{j}) failed to reduce")
     free = [
         f"JN_1_{i}_{j}" for i in range(1, g + 1) for j in range(i, g + 1)
     ]
@@ -389,70 +388,23 @@ def census_groebner_crosscheck(g: int) -> bool:
     inverted, as on the Laurent chart) must contain every graph
     polynomial and vice versa.
     """
-    return _census_crosscheck_impl(g)
-
-
-def _census_crosscheck_impl(g: int) -> bool:
-    from .ideals import PolyIdeal
-
-    field = QQ
     names = [f"a{i}" for i in range(g + 1)]
-    jnames: List[str] = []
-    for tag in ("J0_1", "JN_1"):
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                jnames.append(f"{tag}_{i}_{j}")
-    for tag in ("J0_3", "JN_3"):
-        for i in range(1, g + 1):
-            for j in range(i + 1, g + 1):
-                jnames.append(f"{tag}_{i}_{j}")
+    jnames = _pairing_unknowns(g)
     inv_names = [f"ainv{i}" for i in range(g + 1)]
-    ring = PolyRing(field, jnames + names + inv_names)
-
-    def j3(tag, i, j):
-        if i == j:
-            return ring.zero
-        if i < j:
-            return ring.var(f"{tag}_{i}_{j}")
-        return -ring.var(f"{tag}_{j}_{i}")
-
-    def amon(lo, hi):
-        out = ring.one
-        for k in range(lo, hi):
-            out = out * ring.var(f"a{k}")
-        return out
-
-    rels = []
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            rels.append(
-                ring.var(f"J0_1_{i}_{j}") + amon(i, j) * ring.var(f"JN_1_{i}_{j}")
-            )
-    for i in range(1, g + 1):
-        for j in range(1, i + 1):
-            rels.append(
-                ring.var(f"JN_1_{i}_{j}") + amon(j, i) * ring.var(f"J0_1_{i}_{j}")
-            )
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            rels.append(
-                ring.var(f"JN_1_{i}_{j}")
-                + ring.var(f"J0_1_{j}_{i}")
-                - amon(0, i) * j3("JN_3", i, j)
-                + amon(j, g + 1) * j3("J0_3", i, j)
-            )
+    ring = PolyRing(QQ, jnames + names + inv_names)
+    rels = [rel for _, _, _, rel in _pairing_relations(ring, g)]
     laurent = [
         ring.var(f"ainv{i}") * ring.var(f"a{i}") - 1 for i in range(g + 1)
     ]
     relation_ideal = PolyIdeal(ring, rels + laurent)
-    # substitution graph, mapped into the big ring
-    graph = []
-    subs_ring_names = [f"a{i}" for i in range(g + 1)] + jnames
-    subs_ring = PolyRing(field, subs_ring_names)
-    # rebuild the substitutions by re-running the census machinery
-    census_data = _census_substitutions(g, subs_ring)
-    for var, expr in census_data.items():
-        graph.append(ring.var(var) - expr.map_ring(ring))
+    # substitution graph with every expression fully substituted, mapped
+    # into the big ring
+    subs_ring = PolyRing(QQ, names + jnames)
+    subs, _ = _eliminate(subs_ring, _pairing_relations(subs_ring, g))
+    graph = [
+        ring.var(var) - _reduce_expr(expr, subs).map_ring(ring)
+        for var, expr in subs.items()
+    ]
     graph_ideal = PolyIdeal(ring, graph + laurent)
     for f in graph:
         if not relation_ideal.contains(f):
@@ -461,48 +413,3 @@ def _census_crosscheck_impl(g: int) -> bool:
         if not graph_ideal.contains(f):
             return False
     return True
-
-
-def _census_substitutions(g: int, ring: PolyRing) -> Dict[str, MultiPoly]:
-    """Eliminated variable -> fully substituted expression, in ``ring``."""
-    def j3(tag, i, j):
-        if i == j:
-            return ring.zero
-        if i < j:
-            return ring.var(f"{tag}_{i}_{j}")
-        return -ring.var(f"{tag}_{j}_{i}")
-
-    def amon(lo, hi):
-        out = ring.one
-        for k in range(lo, hi):
-            out = out * ring.var(f"a{k}")
-        return out
-
-    subs: Dict[str, MultiPoly] = {}
-
-    def reduce_expr(f: MultiPoly) -> MultiPoly:
-        mapping = {name: subs[name] for name in f.support_vars() if name in subs}
-        while mapping:
-            f = f.subs(mapping)
-            mapping = {name: subs[name] for name in f.support_vars() if name in subs}
-        return f
-
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            subs[f"J0_1_{i}_{j}"] = -amon(i, j) * ring.var(f"JN_1_{i}_{j}")
-    for i in range(1, g + 1):
-        for j in range(1, i):
-            subs[f"JN_1_{i}_{j}"] = -amon(j, i) * ring.var(f"J0_1_{i}_{j}")
-    for i in range(1, g + 1):
-        for j in range(i + 1, g + 1):
-            expr = (
-                -ring.var(f"JN_1_{i}_{j}")
-                + amon(0, i) * j3("JN_3", i, j)
-                - amon(j, g + 1) * j3("J0_3", i, j)
-            )
-            subs[f"J0_1_{j}_{i}"] = reduce_expr(expr)
-    # flatten family-2 substitutions through the family-3 results
-    for i in range(1, g + 1):
-        for j in range(1, i):
-            subs[f"JN_1_{i}_{j}"] = reduce_expr(subs[f"JN_1_{i}_{j}"])
-    return subs

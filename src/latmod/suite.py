@@ -513,7 +513,21 @@ def run_one(entry: Dict) -> CheckResult:
 
 
 def _run_entry_tuple(entry_json: str) -> Dict:
-    result = run_one(json.loads(entry_json))
+    """One report row; a check that raises becomes a failed row."""
+    entry = json.loads(entry_json)
+    t0 = time.monotonic()
+    try:
+        result = run_one(entry)
+    except Exception as exc:
+        details = {"error": f"{type(exc).__name__}: {exc}"}
+        result = CheckResult(
+            check=entry["name"],
+            spec=_spec_string(entry.get("params", {})),
+            verdict=False,
+            witness_digest=_digest(details),
+            runtime_ms=int((time.monotonic() - t0) * 1000),
+            details=details,
+        )
     return {
         "check": result.check,
         "spec": result.spec,

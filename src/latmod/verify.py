@@ -468,18 +468,27 @@ def dimension_growth_oracle(gens: Sequence[MultiPoly], p: int = 2) -> int:
     """Estimate dim V by fitting the growth of |V(F_{p^k})| for k = 1, 2, 3.
 
     |V(F_{p^k})| ~ (p^k)^d, so log_p of the ratio of consecutive counts
-    converges to d; the oracle rounds the last ratio.
+    converges to d; the oracle rounds the last ratio c2/c1 to the nearest
+    integer, exactly: the d with c1^2 p^(2d-1) <= c2^2 < c1^2 p^(2d+1).
+    There are no ties, since p^(d+1/2) is irrational.
     """
     counts = []
     for k in (1, 2, 3):
         sf = SmallField(p, k)
         counts.append(count_points_small_field(gens, sf))
-    if counts[-1] == 0:
+    c1, c2 = counts[1], counts[2]
+    if c1 == 0 or c2 == 0:
         return -1
-    if counts[-2] == 0:
-        return -1
-    ratio = counts[2] / counts[1]
-    return round(math.log(ratio, p))
+    # find d with lo * q^d <= hi < lo * q^(d+1), q = p^2
+    hi, lo, q = p * c2 * c2, c1 * c1, p * p
+    d = 0
+    while hi < lo:
+        hi *= q
+        d -= 1
+    while hi >= lo * q:
+        lo *= q
+        d += 1
+    return d
 
 
 # -- degree-bounded linear-algebra membership oracle -----------------------------------

@@ -148,6 +148,31 @@ def test_verify_run_reproducible_no_timestamp(runner, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_crashing_check_becomes_failed_row(monkeypatch):
+    """A check that raises costs its own row, not the whole report."""
+    from latmod import suite
+    from latmod.errors import ResourceLimitError
+
+    def boom(params, seed):
+        raise ResourceLimitError("pair queue exceeded 7 during Buchberger")
+
+    monkeypatch.setitem(suite.CHECKS, "sigma_fiber", boom)
+    config = {
+        "checks": [
+            {"name": "sigma_fiber", "params": {"g": 1}},
+            {"name": "s_set_count", "params": {"n": 2, "r": 1, "N": 1, "expected": 7}},
+        ]
+    }
+    report = suite.run_suite(config, jobs=1, with_timestamp=False)
+    assert (report["passed"], report["total"], report["failures"]) == (False, 2, 1)
+    crashed, ok = report["results"][1], report["results"][0]
+    assert (crashed["check"], crashed["spec"], crashed["verdict"]) == ("sigma_fiber", "g=1", False)
+    assert crashed["details"] == {
+        "error": "ResourceLimitError: pair queue exceeded 7 during Buchberger"
+    }
+    assert ok["check"] == "s_set_count" and ok["verdict"] is True
+
+
 def test_verify_empty_config_passes(runner, tmp_path):
     cfg = tmp_path / "empty.json"
     cfg.write_text(json.dumps({"checks": []}))

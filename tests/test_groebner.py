@@ -125,3 +125,13 @@ def test_groebner_deterministic(ring):
     a = PolyIdeal(ring, gens).groebner_basis()
     b = PolyIdeal(ring, list(reversed(gens))).groebner_basis()
     assert a == b
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_exponent_overflow_raises(ring, order):
+    """A product beyond the 16-bit exponent fields raises, never wraps."""
+    x, y = ring.gens()
+    I = PolyIdeal(ring, [x * y**30000 + y**30001], order=order)
+    assert I.normal_form(x * y**32000) == -(y**32001)
+    with pytest.raises(OverflowError):
+        I.normal_form(x * y**32767)
