@@ -189,46 +189,45 @@ def spoly(f, g, pk, p):
 
 
 def _update_pairs(pairs, G, lms, h_idx, pk):
-    """Gebauer-Moeller pair update for the new basis element at h_idx."""
+    """Gebauer-Moeller pair update for the new basis element at h_idx.
+
+    Divisibility is ``Packing.divides`` inlined on pre-masked keys: with
+    ``v = (key & m) ^ flip``, b divides a iff ``((v_b | g) - v_a) & g == g``.
+    """
     lmh = lms[h_idx]
     lcm = pk.lcm
-    divides = pk.divides
+    g = pk.exp_guard_mask
+    m = pk.exp_all_mask
+    f = pk.flip
+    cand = [lcm(lms[i], lmh) for i in range(h_idx)]
     # B criterion: drop old pairs whose lcm is strictly refined through h.
-    kept = []
-    for (L, i, j) in pairs:
-        if (
-            divides(lmh, L)
-            and lcm(lms[i], lmh) != L
-            and lcm(lms[j], lmh) != L
-        ):
-            continue
-        kept.append((L, i, j))
-    # Candidate new pairs (i, h).
-    cand = []
-    for i in range(h_idx):
-        cand.append((lcm(lms[i], lmh), i))
+    xh = ((lmh & m) ^ f) | g
+    kept = [
+        (L, i, j)
+        for (L, i, j) in pairs
+        if (xh - ((L & m) ^ f)) & g != g or cand[i] == L or cand[j] == L
+    ]
     # M criterion: drop candidates whose lcm is a proper multiple of another.
-    cand2 = []
-    for (L, i) in cand:
-        drop = False
-        for (L2, j) in cand:
-            if L2 != L and divides(L2, L):
-                drop = True
+    # A proper divisor is smaller in the order, so going up through the
+    # distinct lcms, each needs testing only against the minimal ones so far.
+    minimal = set()
+    xs = []
+    for L in sorted(set(cand)):
+        y = (L & m) ^ f
+        for x in xs:
+            if (x - y) & g == g:
                 break
-        if not drop:
-            cand2.append((L, i))
-    # F criterion: among equal lcms keep a single representative.
-    seen = {}
-    cand3 = []
-    for (L, i) in cand2:
-        if L in seen:
-            continue
-        seen[L] = i
-        cand3.append((L, i))
-    # Buchberger's coprimality criterion.
-    for (L, i) in cand3:
-        if not pk.coprime(lms[i], lmh):
-            kept.append((L, i, h_idx))
+        else:
+            xs.append(y | g)
+            minimal.add(L)
+    # F criterion: among equal lcms keep the first candidate only, then
+    # Buchberger's coprimality criterion on that one.
+    coprime = pk.coprime
+    for i, L in enumerate(cand):
+        if L in minimal:
+            minimal.discard(L)
+            if not coprime(lms[i], lmh):
+                kept.append((L, i, h_idx))
     return kept
 
 
@@ -279,30 +278,23 @@ def buchberger(gens, pk, p, pair_limit=100000):
 
 
 def interreduce(basis, pk, p):
-    """Minimal + fully reduced + normalized basis, sorted by lead desc."""
-    basis = [b for b in basis if b]
-    basis.sort(key=lambda g: g[0][0])
+    """Minimal + fully reduced + normalized basis, sorted by lead desc.
+
+    ``basis`` must be a Groebner basis.  Once it is minimal, no lead divides
+    another, so whatever reduces a tail term has a lead below the element's
+    own: going up by lead, each element needs reducing only against the
+    already reduced ones before it.
+    """
+    basis = sorted((b for b in basis if b), key=lambda g: g[0][0])
     minimal = []
     for g in basis:
         if not any(pk.divides(h[0][0], g[0][0]) for h in minimal):
             minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = [minimal[k] for k in range(len(minimal)) if k != i]
-            if not others:
-                continue
-            r, _, _ = nf(minimal[i], others, pk, p)
-            r = normalize_mod(r, p) if p else normalize_int(r)
-            if r != minimal[i]:
-                changed = True
-                if r:
-                    minimal[i] = r
-                else:
-                    del minimal[i]
-                    break
-        minimal.sort(key=lambda g: g[0][0])
-    out = [normalize_mod(g, p) if p else normalize_int(g) for g in minimal]
-    out.sort(key=lambda g: g[0][0], reverse=True)
-    return out
+    for i, g in enumerate(minimal):
+        r = nf(g, minimal[:i], pk, p)[0] if i else g
+        r = normalize_mod(r, p) if p else normalize_int(r)
+        # Keep the original when nothing changed: the caller may still hold it.
+        if r != g:
+            minimal[i] = r
+    minimal.reverse()
+    return minimal

@@ -202,7 +202,11 @@ def dimension(I: PolyIdeal) -> int:
         memo[alive] = best
         return best
 
-    return best_independent(frozenset(range(nvars)))
+    dim = best_independent(frozenset(range(nvars)))
+    # best_independent refers to itself through its closure; breaking that
+    # cycle frees the memo now instead of at a later cyclic collection.
+    del best_independent
+    return dim
 
 
 def _fresh_name(ring: PolyRing, base: str) -> str:
@@ -277,6 +281,7 @@ def minors(M: Sequence[Sequence[MultiPoly]], k: int) -> List[MultiPoly]:
     for rs in combinations(range(rows), k):
         for cs in combinations(range(cols), k):
             out.append(det(rs, cs))
+    del det  # frees the memo at once, as in dimension()
     return out
 
 

@@ -13,6 +13,12 @@ Storing M - e (with M = 2**(W-1) - 1) makes the within-degree comparison
 come out reverse-lexicographic on the reversed variable list, which is
 exactly grevlex.  Multiplication of monomials is then key addition minus a
 constant, and divisibility is the classic guard-bit borrow test.
+
+Degree fields are W + 8 bits wide.  Masked to its exponent fields and XORed
+with ``flip`` (M in every field for lex, 0 otherwise), a key of any order
+holds M - e per field, so divisibility, lcm and coprimality are the same
+field-parallel (SWAR) operations on every order: ``b | a`` iff each field
+of b is >= that of a, and the lcm takes the per-field minimum.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ WIDTH = 16
 GUARD = 1 << (WIDTH - 1)
 MAXE = GUARD - 1
 FIELD_MASK = (1 << WIDTH) - 1
+DEG_WIDTH = WIDTH + 8
+DEG_MASK = (1 << DEG_WIDTH) - 1
 
 
 class Packing:
@@ -42,6 +50,9 @@ class Packing:
         "exp_guard_mask",
         "exp_all_mask",
         "negated",
+        "flip",
+        "nonzero_base",
+        "deg_runs",
     )
 
     def __init__(self, nvars: int, order):
@@ -61,7 +72,7 @@ class Packing:
                 shifts[i] = pos
                 pos += WIDTH
             deg_shifts.append((pos, range(nvars)))
-            pos += WIDTH + 8
+            pos += DEG_WIDTH
         elif isinstance(order, tuple) and order[0] == "block":
             self.negated = True
             k = order[1]
@@ -71,12 +82,12 @@ class Packing:
                 shifts[i] = pos
                 pos += WIDTH
             deg_shifts.append((pos, range(k, nvars)))
-            pos += WIDTH + 8
+            pos += DEG_WIDTH
             for i in range(k):
                 shifts[i] = pos
                 pos += WIDTH
             deg_shifts.append((pos, range(k)))
-            pos += WIDTH + 8
+            pos += DEG_WIDTH
         else:
             raise ValueError(f"unknown monomial order: {order!r}")
         self.shifts = tuple(shifts)
@@ -91,6 +102,18 @@ class Packing:
         self.exp_guard_mask = guard
         self.exp_all_mask = allmask
         self.mul_offset = offset if self.negated else 0
+        self.flip = 0 if self.negated else offset
+        # 2M - (M - e) = M + e per field: its guard bit is set iff e > 0
+        self.nonzero_base = 2 * offset
+        # Per degree field: its shift, the lowest shift of the exponent
+        # fields it sums, their mask shifted down to bit 0, and M times
+        # their number.
+        runs = []
+        for s, ix in self.deg_shifts:
+            low = min(shifts[i] for i in ix)
+            run = sum(FIELD_MASK << (shifts[i] - low) for i in ix)
+            runs.append((s, low, run, MAXE * len(ix)))
+        self.deg_runs = tuple(runs)
 
     def pack(self, exps: Sequence[int]) -> int:
         if len(exps) != self.nvars:
@@ -127,13 +150,10 @@ class Packing:
 
     def divides(self, b: int, a: int) -> bool:
         """True iff monomial b divides monomial a."""
-        if self.negated:
-            x, y = b, a
-        else:
-            x, y = a, b
         g = self.exp_guard_mask
         m = self.exp_all_mask
-        return (((x & m) | g) - (y & m)) & g == g
+        f = self.flip
+        return ((((b & m) ^ f) | g) - ((a & m) ^ f)) & g == g
 
     def first_divisor(self, leads: Sequence[int]) -> Callable[[int], int]:
         """Finder for the index of the first key in ``leads`` dividing a key.
@@ -145,25 +165,15 @@ class Packing:
         """
         g = self.exp_guard_mask
         m = self.exp_all_mask
-        if self.negated:
-            xs = [(b & m) | g for b in leads]
+        f = self.flip
+        xs = [((b & m) ^ f) | g for b in leads]
 
-            def find(a: int) -> int:
-                y = a & m
-                for i, x in enumerate(xs):
-                    if (x - y) & g == g:
-                        return i
-                return -1
-
-        else:
-            ys = [b & m for b in leads]
-
-            def find(a: int) -> int:
-                x = (a & m) | g
-                for i, y in enumerate(ys):
-                    if (x - y) & g == g:
-                        return i
-                return -1
+        def find(a: int) -> int:
+            y = (a & m) ^ f
+            for i, x in enumerate(xs):
+                if (x - y) & g == g:
+                    return i
+            return -1
 
         return find
 
@@ -172,21 +182,32 @@ class Packing:
         return a - b + self.mul_offset
 
     def lcm(self, a: int, b: int) -> int:
-        ea = self.unpack(a)
-        eb = self.unpack(b)
-        return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
+        g = self.exp_guard_mask
+        m = self.exp_all_mask
+        f = self.flip
+        va = (a & m) ^ f
+        vb = (b & m) ^ f
+        t = ((va | g) - vb) & g  # guard bits of the fields where va >= vb
+        # t - (t >> 15) sets the 15 value bits of those fields: take vb there
+        v = va ^ ((va ^ vb) & (t - (t >> (WIDTH - 1))))
+        key = v ^ f
+        for s, start, run, top in self.deg_runs:
+            if ((a >> s) & DEG_MASK) + ((b >> s) & DEG_MASK) >= FIELD_MASK:
+                # The degree may reach 65535, where the field sum mod
+                # 65535 below no longer determines it.
+                ea = self.unpack(a)
+                eb = self.unpack(b)
+                return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
+            # 2**16 = 1 mod 65535, so a run of fields read as one integer
+            # is congruent to the sum of its fields.
+            key |= ((top - ((v >> start) & run) % FIELD_MASK) % FIELD_MASK) << s
+        return key
 
     def coprime(self, a: int, b: int) -> bool:
-        for s in self.shifts:
-            ea = (a >> s) & FIELD_MASK
-            eb = (b >> s) & FIELD_MASK
-            if self.negated:
-                if ea != MAXE and eb != MAXE:
-                    return False
-            else:
-                if ea and eb:
-                    return False
-        return True
+        m = self.exp_all_mask
+        f = self.flip
+        z = self.nonzero_base
+        return not (z - ((a & m) ^ f)) & (z - ((b & m) ^ f)) & self.exp_guard_mask
 
     def total_degree(self, key: int) -> int:
         return sum(self.exponent(key, i) for i in range(self.nvars))
