@@ -13,6 +13,7 @@ import heapq
 from math import gcd
 
 from .errors import ResourceLimitError
+from .packing import DivisorIndex
 
 KERNEL_KIND = "python"
 
@@ -53,18 +54,20 @@ def _sorted_terms(d):
     return sorted(((k, c) for k, c in d.items() if c), reverse=True)
 
 
-def nf(f, basis, pk, p):
+def nf(f, basis, pk, p, index=None):
     """Full normal form of f modulo basis.
 
     Returns ``(terms, num, den)`` with the invariant
     ``terms == exact_normal_form * num / den`` in characteristic 0; over
-    GF(p) the reduction is exact and num == den == 1.
+    GF(p) the reduction is exact and num == den == 1.  ``index`` is a
+    ``DivisorIndex`` over the leads of ``basis``, in order; one is built
+    when it is not given.
     """
     if not f:
         return [], 1, 1
-    lms = [g[0][0] for g in basis]
-    lcs = [g[0][1] for g in basis]
-    first_divisor = pk.first_divisor(lms)
+    if index is None:
+        index = DivisorIndex(pk, [g[0][0] for g in basis])
+    first_divisor = index.first
     quotient = pk.quotient
     mul = pk.mul
     work = {}
@@ -87,9 +90,10 @@ def nf(f, basis, pk, p):
             tail[m] = tail.get(m, 0) + c
             continue
         g = basis[red]
-        q = quotient(m, lms[red])
+        lm, lc = g[0]
+        q = quotient(m, lm)
         if p:
-            factor = (c * pow(lcs[red], p - 2, p)) % p
+            factor = (c * pow(lc, p - 2, p)) % p
             for j in range(1, len(g)):
                 k2, c2 = g[j]
                 kk = mul(q, k2)
@@ -102,7 +106,6 @@ def nf(f, basis, pk, p):
                 elif old:
                     del work[kk]
         else:
-            lc = lcs[red]
             gg = gcd(c, lc)
             a = lc // gg
             b = c // gg
@@ -252,6 +255,7 @@ def buchberger(gens, pk, p, pair_limit=100000):
             uniq.append(g)
     G = uniq
     lms = [g[0][0] for g in G]
+    index = DivisorIndex(pk, lms)
     pairs = []
     for i in range(len(G)):
         pairs = _update_pairs(pairs, G, lms, i, pk)
@@ -266,12 +270,13 @@ def buchberger(gens, pk, p, pair_limit=100000):
         s = spoly(G[i], G[j], pk, p)
         if not s:
             continue
-        r, _, _ = nf(s, G, pk, p)
+        r, _, _ = nf(s, G, pk, p, index)
         if not r:
             continue
         r = normalize_mod(r, p) if p else normalize_int(r)
         G.append(r)
         lms.append(r[0][0])
+        index.append(r[0][0])
         heap = _update_pairs(list(heap), G, lms, len(G) - 1, pk)
         heapq.heapify(heap)
     return interreduce(G, pk, p)
@@ -280,21 +285,23 @@ def buchberger(gens, pk, p, pair_limit=100000):
 def interreduce(basis, pk, p):
     """Minimal + fully reduced + normalized basis, sorted by lead desc.
 
-    ``basis`` must be a Groebner basis.  Once it is minimal, no lead divides
-    another, so whatever reduces a tail term has a lead below the element's
-    own: going up by lead, each element needs reducing only against the
-    already reduced ones before it.
+    ``basis`` must be a Groebner basis.  Going up by lead, an element is
+    kept iff no kept lead divides its own.  Whatever reduces a tail term
+    then has a lead below the element's, so each kept element needs
+    reducing only against the already reduced ones before it, through one
+    ``DivisorIndex`` over the kept leads.
     """
     basis = sorted((b for b in basis if b), key=lambda g: g[0][0])
     minimal = []
+    index = DivisorIndex(pk)
     for g in basis:
-        if not any(pk.divides(h[0][0], g[0][0]) for h in minimal):
-            minimal.append(g)
-    for i, g in enumerate(minimal):
-        r = nf(g, minimal[:i], pk, p)[0] if i else g
+        lm = g[0][0]
+        if any(pk.divides(h[0][0], lm) for h in minimal):
+            continue
+        r = nf(g, minimal, pk, p, index)[0] if minimal else g
         r = normalize_mod(r, p) if p else normalize_int(r)
         # Keep the original when nothing changed: the caller may still hold it.
-        if r != g:
-            minimal[i] = r
+        minimal.append(g if r == g else r)
+        index.append(lm)
     minimal.reverse()
     return minimal

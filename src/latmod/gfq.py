@@ -61,10 +61,6 @@ def mat_sub(A, B, field: Field):
     ]
 
 
-def mat_eq(A, B) -> bool:
-    return A == B
-
-
 def rref(A, field: Field):
     """Reduced row echelon form; returns (R, pivot column list)."""
     R = [list(row) for row in A]

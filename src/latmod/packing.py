@@ -19,11 +19,24 @@ with ``flip`` (M in every field for lex, 0 otherwise), a key of any order
 holds M - e per field, so divisibility, lcm and coprimality are the same
 field-parallel (SWAR) operations on every order: ``b | a`` iff each field
 of b is >= that of a, and the lcm takes the per-field minimum.
+
+``DivisorIndex`` answers the reduction's question "which is the first lead
+dividing this monomial?" without a pass over the leads.  It cuts the
+exponent fields into chunks of CHUNK adjacent fields, never across a
+degree field.  A lead fails to divide a monomial iff it fails on some
+chunk, so each chunk keeps a memo from the chunk's raw key bits to the
+bitset (a Python int over lead indices) of the leads failing there.  A
+query ORs one memo entry per chunk and returns the lowest index left
+clear.  An entry is filled on first use with one borrow test per lead, and
+an appended lead sets its bit in every entry it fails; a lead with zero
+exponents throughout a chunk never fails there and skips it.  Memos hold
+only chunk values that were queried, so nothing is allocated per exponent
+value.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 WIDTH = 16
 GUARD = 1 << (WIDTH - 1)
@@ -31,6 +44,8 @@ MAXE = GUARD - 1
 FIELD_MASK = (1 << WIDTH) - 1
 DEG_WIDTH = WIDTH + 8
 DEG_MASK = (1 << DEG_WIDTH) - 1
+# exponent fields per DivisorIndex chunk
+CHUNK = 8
 
 
 class Packing:
@@ -155,28 +170,6 @@ class Packing:
         f = self.flip
         return ((((b & m) ^ f) | g) - ((a & m) ^ f)) & g == g
 
-    def first_divisor(self, leads: Sequence[int]) -> Callable[[int], int]:
-        """Finder for the index of the first key in ``leads`` dividing a key.
-
-        The returned function maps ``a`` to the least ``i`` with
-        ``divides(leads[i], a)``, or -1 when there is none.  The masked
-        lead keys are computed once, so each query is one borrow test per
-        lead.
-        """
-        g = self.exp_guard_mask
-        m = self.exp_all_mask
-        f = self.flip
-        xs = [((b & m) ^ f) | g for b in leads]
-
-        def find(a: int) -> int:
-            y = (a & m) ^ f
-            for i, x in enumerate(xs):
-                if (x - y) & g == g:
-                    return i
-            return -1
-
-        return find
-
     def quotient(self, a: int, b: int) -> int:
         """Key of a/b; caller must know b | a."""
         return a - b + self.mul_offset
@@ -215,6 +208,69 @@ class Packing:
     @property
     def one(self) -> int:
         return self.pack((0,) * self.nvars)
+
+
+class DivisorIndex:
+    """Append-only index over lead keys for first-divisor queries.
+
+    ``first(a)`` is the least ``i`` with ``pk.divides(leads[i], a)``, or -1
+    when no lead divides ``a``; see the module docstring for how.
+    """
+
+    __slots__ = ("full", "chunks")
+
+    def __init__(self, pk: Packing, leads: Iterable[int] = ()):
+        self.full = 0  # the bitset of all leads
+        # Per chunk: (shift, mask, memo, flip, guard bits, M in every field,
+        # then the bit and the masked key | guard of each lead that can fail
+        # there, as two parallel lists: pairs would add a small object per
+        # lead and chunk, which showed in peak RSS).
+        runs: List[List[int]] = []
+        for s in sorted(pk.shifts):
+            if runs and s == runs[-1][-1] + WIDTH and len(runs[-1]) < CHUNK:
+                runs[-1].append(s)
+            else:
+                runs.append([s])
+        chunks = []
+        for run in runs:
+            low = run[0]
+            mask = (1 << (WIDTH * len(run))) - 1
+            guard = sum(GUARD << (s - low) for s in run)
+            top = sum(MAXE << (s - low) for s in run)
+            chunks.append((low, mask, {}, (pk.flip >> low) & mask, guard, top, [], []))
+        self.chunks = tuple(chunks)
+        for b in leads:
+            self.append(b)
+
+    def append(self, b: int) -> None:
+        bit = self.full + 1
+        self.full |= bit
+        for low, mask, memo, flip, guard, top, bits, xs in self.chunks:
+            y = ((b >> low) & mask) ^ flip
+            if y == top:
+                continue
+            x = y | guard
+            bits.append(bit)
+            xs.append(x)
+            for v in memo:
+                if (x - (v ^ flip)) & guard != guard:
+                    memo[v] |= bit
+
+    def first(self, a: int) -> int:
+        bad = 0
+        for low, mask, memo, flip, guard, top, bits, xs in self.chunks:
+            v = (a >> low) & mask
+            b = memo.get(v)
+            if b is None:
+                b = 0
+                y = v ^ flip
+                for bit, x in zip(bits, xs):
+                    if (x - y) & guard != guard:
+                        b |= bit
+                memo[v] = b
+            bad |= b
+        free = self.full & ~bad
+        return (free & -free).bit_length() - 1
 
 
 _cache: dict = {}

@@ -1,6 +1,7 @@
 """Reduced Groebner bases against sympy.groebner, which shares no code with
-the kernel: the cyclic-product ideals and seeded random small ideals over
-QQ and GF(p), in grevlex, lex and a block order."""
+the kernel: the cyclic-product ideals, seeded random small ideals over
+QQ and GF(p) in grevlex, lex and a block order, and hypothesis-generated
+grevlex ideals."""
 
 import random
 
@@ -12,6 +13,8 @@ from latmod.poly import GF, MultiPoly, PolyRing, QQ
 from latmod.schemes import mu_ideal
 
 sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
 SYMPY_ORDERS = {
@@ -88,3 +91,24 @@ def test_random_ideals_match_sympy(p, order):
             oracle_check(PolyIdeal(ring, gens, order=order))
             checked += 1
     assert checked
+
+
+@st.composite
+def small_ideals(draw, p):
+    """At most 3 generators of degree at most 3 in 2 or 3 variables."""
+    ring = PolyRing(GF(p) if p else QQ, ["x", "y", "z"][: draw(st.integers(2, 3))])
+    monomials = st.tuples(*[st.integers(0, 3)] * ring.nvars).filter(lambda e: sum(e) <= 3)
+    coeffs = st.integers(1, p - 1) if p else st.integers(-4, 4).filter(bool)
+    gens = draw(st.lists(
+        st.dictionaries(monomials, coeffs, min_size=1, max_size=4), min_size=1, max_size=3,
+    ))
+    return PolyIdeal(
+        ring, [MultiPoly(ring, {e: ring.field.coerce(c) for e, c in g.items()}) for g in gens]
+    )
+
+
+@pytest.mark.parametrize("p", [0, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_ideals_match_sympy(p, data):
+    oracle_check(data.draw(small_ideals(p)))

@@ -1,19 +1,20 @@
-"""Packed-key monomial operations, the kernel's pair update and its
-interreduction, each against a plain reference on exponent tuples."""
+"""Packed-key monomial operations, the divisor index, the kernel's pair
+update and its interreduction, each against a plain reference."""
 
 import heapq
 import random
 
 import pytest
 
-from latmod.kernel import interreduce
+from latmod.kernel import interreduce, nf
 from latmod._pykernel import _update_pairs
-from latmod.packing import MAXE, Packing
+from latmod.packing import CHUNK, MAXE, DivisorIndex, Packing
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 ORDERS = ["grevlex", "lex", ("block", 2)]
+P = 32003
 
 
 # -- lcm and coprime ---------------------------------------------------------------
@@ -71,6 +72,127 @@ def test_lcm_degree_sum_at_65535_takes_the_fallback(monkeypatch, order, ea, eb):
     assert pk.lcm(a, b) == pk.pack(tuple(map(max, ea, eb)))
     fallback = any(sum(ea[i] + eb[i] for i in ix) >= 65535 for ix in DEGREE_FIELDS[order])
     assert bool(unpacked) == fallback
+
+
+# -- divisor index -----------------------------------------------------------------
+
+
+def brute_first_divisor(pk, leads, a):
+    return next((i for i, b in enumerate(leads) if pk.divides(b, a)), -1)
+
+
+@st.composite
+def exponent_tuples(draw, n):
+    """Mostly zero: whole chunks of a lead are often zero."""
+    return tuple(
+        draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3, MAXE - 1, MAXE]))
+        if draw(st.booleans()) else 0
+        for _ in range(n)
+    )
+
+
+@st.composite
+def index_scripts(draw):
+    """A packing and a run of appends and queries.  A query re-asks an
+    earlier monomial or a lead's multiple half the time, so memo entries
+    filled before an append are read after it."""
+    n = draw(st.sampled_from([1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]))
+    orders = ["grevlex", "lex"] + [("block", k) for k in range(1, n)]
+    pk = Packing(n, draw(st.sampled_from(orders)))
+    script = []
+    seen = []
+    for _ in range(draw(st.integers(1, 24))):
+        e = draw(exponent_tuples(n))
+        if draw(st.booleans()):
+            script.append(("append", pk.pack(e)))
+            seen.append(e)
+            continue
+        if seen and draw(st.booleans()):
+            base = draw(st.sampled_from(seen))
+            e = tuple(min(MAXE, x + y) for x, y in zip(base, e))
+        script.append(("query", pk.pack(e)))
+        seen.append(e)
+    return pk, script
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_scripts())
+def test_divisor_index_matches_brute_force_scan(case):
+    pk, script = case
+    index = DivisorIndex(pk)
+    leads = []
+    for op, key in script:
+        if op == "append":
+            index.append(key)
+            leads.append(key)
+        else:
+            assert index.first(key) == brute_first_divisor(pk, leads, key)
+    assert DivisorIndex(pk, leads).first(pk.one) == brute_first_divisor(pk, leads, pk.one)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", ("block", 3), ("block", CHUNK + 1)])
+def test_divisor_index_across_chunk_and_degree_field_borders(order):
+    n = 2 * CHUNK + 3
+    pk = Packing(n, order)
+
+    def x(*pairs):
+        e = [0] * n
+        for i, v in pairs:
+            e[i] = v
+        return pk.pack(e)
+
+    index = DivisorIndex(pk)
+    assert index.first(x()) == -1  # empty index
+    assert index.first(x((0, MAXE), (n - 1, MAXE))) == -1
+    leads = [x((0, 2), (n - 1, 1)), x((n - 1, 2)), x((CHUNK - 1, 1), (CHUNK, 1)), x((3, MAXE))]
+    queries = [
+        x((0, 2), (n - 1, 2)),  # both of the first two divide: the least wins
+        x((0, 1), (n - 1, 2)),
+        x((0, 2), (n - 1, 1)),
+        x((CHUNK - 1, 1), (CHUNK, 1)),
+        x((CHUNK - 1, 1)),
+        x((3, MAXE), (4, MAXE)),
+        x((3, MAXE - 1)),
+        x(),
+    ]
+    for k, lead in enumerate(leads):
+        # query before and after each append: entries filled before it are read after
+        for a in queries:
+            assert index.first(a) == brute_first_divisor(pk, leads[:k], a)
+        index.append(lead)
+        for a in queries:
+            assert index.first(a) == brute_first_divisor(pk, leads[: k + 1], a)
+    index.append(x())  # the constant 1 divides everything
+    assert index.first(x((1, MAXE), (n - 2, MAXE))) == len(leads)
+    assert index.first(x((0, 2), (n - 1, 2))) == 0
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("p", [0, P])
+@pytest.mark.parametrize("seed", range(3))
+def test_nf_with_persistent_index_equals_fresh_index(order, p, seed):
+    rng = random.Random(seed)
+    n = CHUNK + 3  # more variables than one chunk holds
+    pk = Packing(n, order)
+
+    def poly(nterms, maxdeg):
+        terms = {}
+        for _ in range(nterms):
+            e = [0] * n
+            for _ in range(rng.randrange(maxdeg + 1)):
+                e[rng.randrange(n)] += 1
+            terms[pk.pack(e)] = rng.randrange(1, p) if p else rng.choice([-3, -1, 1, 2, 5])
+        return sorted(terms.items(), reverse=True)
+
+    basis = []
+    index = DivisorIndex(pk)
+    for _ in range(12):
+        g = poly(3, 3)
+        basis.append(g)
+        index.append(g[0][0])
+        for _ in range(4):
+            f = poly(6, 5)
+            assert nf(f, basis, pk, p, index) == nf(f, basis, pk, p)
 
 
 # -- pair update -------------------------------------------------------------------
@@ -133,8 +255,6 @@ def test_update_pairs_matches_quadratic_reference(order, seed):
 
 
 # -- interreduce -------------------------------------------------------------------
-
-P = 32003
 
 
 def _padd(f, g, c=1, m=None):
