@@ -80,8 +80,8 @@ def smooth_check(
     jac = jacobian(gens, names)
     nrows, ncols = len(gens), len(names)
     if c == 0:
-        # codimension 0: smooth iff the ideal already vanishes nowhere... the
-        # convention 1 in I + minors_0 = (1) makes c = 0 trivially smooth.
+        # the only 0 x 0 minor is the empty determinant 1, so
+        # I + (0 x 0 minors) = (1) and a codimension-0 chart is smooth.
         return SmoothnessCertificate(chart.provenance, 0, True, (), True)
     if c > min(nrows, ncols):
         return SmoothnessCertificate(chart.provenance, c, False, (), True)
@@ -200,7 +200,6 @@ def count_points(
     """
     if q not in (2, 3, 5):
         raise ValueError("exhaustive counting supports q in {2, 3, 5}")
-    field = GF(q)
     ring = chart.ring
     aux = {name for name, _ in chart.inverses}
     coords = [n for n in ring.names if n not in aux and n != "t"]
@@ -214,7 +213,9 @@ def count_points(
         if any(v in aux for v in g.support_vars()):
             continue
         plain_gens.append(g)
-    count = _prune_count(plain_gens, inverted, coords, field, {"t": t_value % q})
+    count = _prune_count(
+        plain_gens, inverted, coords, SmallField(q, 1), {"t": t_value % q}
+    )
     return PointCountReport(
         provenance=chart.provenance,
         q=q,
@@ -225,83 +226,87 @@ def count_points(
     )
 
 
-def _eval_supported(f: MultiPoly, assigned: Dict[str, int], field: Field):
-    """Evaluate f using only the variables it actually involves."""
-    names = f.ring.names
-    acc = field.zero
-    p = field.p
+def count_points_small_field(gens: Sequence[MultiPoly], sf: SmallField) -> int:
+    """Number of common zeros of gens in F_{p^k}^n, n the number of ring
+    variables."""
+    if not gens:
+        raise ValueError("need at least the ring")
+    return _prune_count(gens, [], gens[0].ring.names, sf, {})
+
+
+def _compile(f: MultiPoly, sf: SmallField, slot: Dict[str, int], fixed: Dict[str, int]):
+    """f as a list of (coefficient, ((slot, exponent), ...)) over F_q, with
+    the fixed variables substituted, and the number of coordinates that
+    must be assigned before f can be evaluated."""
+    p = sf.p
+    terms = []
     for e, c in f.terms.items():
-        v = c if p else field.coerce(c)
-        for i, exp in enumerate(e):
-            if exp:
-                x = field.coerce(assigned[names[i]])
-                if p:
-                    v = (v * pow(x, exp, p)) % p
-                else:
-                    v = v * x**exp
-        acc = field.add(acc, v)
-    return acc
+        if isinstance(c, Fraction):
+            den = c.denominator % p
+            if den == 0:
+                raise ValueError("denominator divisible by p")
+            v = c.numerator * pow(den, p - 2, p) % p
+        else:
+            v = int(c) % p
+        factors = []
+        for name, k in zip(f.ring.names, e):
+            if not k:
+                continue
+            if name in fixed:
+                v = sf.mul_t[v][sf.pow(fixed[name], k)]
+            elif name in slot:
+                factors.append((slot[name], k))
+            else:
+                raise ValueError(f"{name} is neither a coordinate nor fixed")
+        if v:
+            terms.append((v, tuple(factors)))
+    return terms, max((i + 1 for _, fs in terms for i, _ in fs), default=0)
 
 
-def _prune_count(gens, inverted, coords, field: Field, fixed: Dict[str, int]) -> int:
-    """Depth-first assignment with early rejection."""
-    gen_support = [set(g.support_vars()) for g in gens]
-    inv_support = [set(f.support_vars()) for f in inverted]
-    order = list(coords)
-    assigned = dict(fixed)
-    known = set(fixed)
+def _prune_count(
+    gens, inverted, coords, sf: SmallField, fixed: Dict[str, int]
+) -> int:
+    """Number of points of F_q^coords (q = sf.q) where every generator
+    vanishes and no inverted element does.
 
-    gens_by_depth: List[List[int]] = [[] for _ in range(len(order) + 1)]
-    for gi, sup in enumerate(gen_support):
-        need = sup - known
-        depth = 0
-        for d, name in enumerate(order, start=1):
-            if name in need:
-                need = need - {name}
-                depth = d
-            if not need:
-                break
-        if need:
-            raise ValueError("generator uses a variable outside the chart coords")
-        gens_by_depth[depth].append(gi)
-    inv_by_depth: List[List[int]] = [[] for _ in range(len(order) + 1)]
-    for fi, sup in enumerate(inv_support):
-        need = sup - known
-        depth = 0
-        for d, name in enumerate(order, start=1):
-            if name in need:
-                need = need - {name}
-                depth = d
-            if not need:
-                break
-        if need:
-            raise ValueError("inverted element uses a variable outside the coords")
-        inv_by_depth[depth].append(fi)
+    Depth-first assignment of the coordinates in the given order; each
+    polynomial is tested as soon as its last coordinate is assigned, so a
+    failing partial assignment is never extended.
+    """
+    slot = {name: i for i, name in enumerate(coords)}
+    checks: List[List[Tuple[list, bool]]] = [[] for _ in range(len(coords) + 1)]
+    maxk = 1
+    for polys, vanish in ((gens, True), (inverted, False)):
+        for f in polys:
+            terms, depth = _compile(f, sf, slot, fixed)
+            checks[depth].append((terms, vanish))
+            maxk = max([maxk, *(k for _, fs in terms for _, k in fs)])
+    add, mul = sf.add_t, sf.mul_t
+    powers = [[sf.pow(x, k) for k in range(maxk + 1)] for x in sf.elements()]
+    point = [0] * len(coords)
 
-    def ok_at(depth: int) -> bool:
-        for gi in gens_by_depth[depth]:
-            if _eval_supported(gens[gi], assigned, field):
-                return False
-        for fi in inv_by_depth[depth]:
-            if not _eval_supported(inverted[fi], assigned, field):
+    def ok(depth: int) -> bool:
+        for terms, vanish in checks[depth]:
+            acc = 0
+            for v, factors in terms:
+                for i, k in factors:
+                    v = mul[v][powers[point[i]][k]]
+                acc = add[acc][v]
+            if (acc == 0) != vanish:
                 return False
         return True
 
     def rec(depth: int) -> int:
-        if depth == len(order):
+        if depth == len(coords):
             return 1
-        name = order[depth]
         total = 0
-        for v in field.elements():
-            assigned[name] = v
-            if ok_at(depth + 1):
+        for x in range(sf.q):
+            point[depth] = x
+            if ok(depth + 1):
                 total += rec(depth + 1)
-        del assigned[name]
         return total
 
-    if not ok_at(0):
-        return 0
-    return rec(0)
+    return rec(0) if ok(0) else 0
 
 
 # -- independent combinatorial oracles ----------------------------------------------
@@ -430,57 +435,19 @@ def glued_local_model_count(spec: ChainSpec, q: int, t_value: int) -> int:
 
 # -- brute-force dimension oracle -----------------------------------------------------
 
-def _poly_eval_small_field(f: MultiPoly, sf: SmallField, point: Sequence[int]) -> int:
-    acc = 0
-    p = sf.p
-    for e, c in f.terms.items():
-        if isinstance(c, Fraction):
-            num = c.numerator % p
-            den = c.denominator % p
-            if den == 0:
-                raise ValueError("denominator divisible by p")
-            cv = (num * pow(den, p - 2, p)) % p
-        else:
-            cv = int(c) % p
-        if cv == 0:
-            continue
-        v = cv
-        for i, exp in enumerate(e):
-            if exp:
-                v = sf.mul(v, sf.pow(point[i], exp))
-        acc = sf.add(acc, v)
-    return acc
-
-
-def count_points_small_field(gens: Sequence[MultiPoly], sf: SmallField) -> int:
-    """Exhaustive count of common zeros over F_{p^k}."""
-    if not gens:
-        raise ValueError("need at least the ring")
-    nvars = gens[0].ring.nvars
-    count = 0
-    for point in product(range(sf.q), repeat=nvars):
-        if all(_poly_eval_small_field(g, sf, point) == 0 for g in gens):
-            count += 1
-    return count
-
-
 def dimension_growth_oracle(gens: Sequence[MultiPoly], p: int = 2) -> int:
-    """Estimate dim V by fitting the growth of |V(F_{p^k})| for k = 1, 2, 3.
+    """Estimate dim V from the growth of |V(F_{p^k})| between k = 2 and 3.
 
-    |V(F_{p^k})| ~ (p^k)^d, so log_p of the ratio of consecutive counts
-    converges to d; the oracle rounds the last ratio c2/c1 to the nearest
-    integer, exactly: the d with c1^2 p^(2d-1) <= c2^2 < c1^2 p^(2d+1).
+    |V(F_{p^k})| ~ (p^k)^d, so log_p of the ratio c3/c2 of the counts over
+    F_{p^3} and F_{p^2} approximates d; the oracle rounds it to the nearest
+    integer, exactly: the d with c2^2 p^(2d-1) <= c3^2 < c2^2 p^(2d+1).
     There are no ties, since p^(d+1/2) is irrational.
     """
-    counts = []
-    for k in (1, 2, 3):
-        sf = SmallField(p, k)
-        counts.append(count_points_small_field(gens, sf))
-    c1, c2 = counts[1], counts[2]
-    if c1 == 0 or c2 == 0:
+    c2, c3 = (count_points_small_field(gens, SmallField(p, k)) for k in (2, 3))
+    if c2 == 0 or c3 == 0:
         return -1
     # find d with lo * q^d <= hi < lo * q^(d+1), q = p^2
-    hi, lo, q = p * c2 * c2, c1 * c1, p * p
+    hi, lo, q = p * c3 * c3, c2 * c2, p * p
     d = 0
     while hi < lo:
         hi *= q

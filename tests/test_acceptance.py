@@ -3,7 +3,6 @@ line and enforcing the stated tolerances and runtime budgets."""
 
 import random
 import time
-from itertools import product
 
 from latmod.chains import ChainSpec
 from latmod.chainnf import chain_normal_form, conjugated_chain_point
@@ -14,8 +13,6 @@ from latmod.characters import (
 )
 from latmod.errors import NormalFormFailure
 from latmod.gfq import mat_inv
-from latmod.ideals import dimension
-from latmod.indexset import enumerate_index_set
 from latmod.opencell import open_cell_factors_through_mu, open_cell_ratio_invariance
 from latmod.poly import GF
 from latmod.resolution import diagonal_chart_ideals, sigma_fiber_freecount
@@ -28,14 +25,12 @@ from latmod.schemes import (
 from latmod.suite import (
     check_blowup_principal,
     check_chain_census,
+    check_glued_count,
+    check_mu_dimension,
+    check_s_set_count,
     torsion_test_corpus,
 )
-from latmod.verify import (
-    chain_subspace_count,
-    dimension_growth_oracle,
-    generic_fiber_smooth_check,
-    glued_local_model_count,
-)
+from latmod.verify import generic_fiber_smooth_check
 from latmod.ideals import saturate
 
 
@@ -206,22 +201,17 @@ def test_criterion_8_oracle_cross_checks():
     of the basic cyclic-product ideal by two independent methods."""
     t0 = time.monotonic()
     ok = True
-    # independent exhaustive enumeration of the index-set constraints
+    # fast enumeration vs an exhaustive filter of the index-set constraints
     for (n, r, N, expected) in [(2, 1, 1, 7), (3, 1, 1, 16)]:
-        fast = len(enumerate_index_set(n, r, N))
-        slow = sum(
-            1
-            for tup in product(range(n + 1), repeat=2 * (N + 1))
-            if sum(tup) == n and sum(tup[0::2]) >= r
+        passed, details = check_s_set_count(
+            {"n": n, "r": r, "N": N, "expected": expected}, 0
         )
-        ok = ok and fast == slow == expected
-    spec = ChainSpec(2, 1, 1, (1, 1))
+        ok = ok and passed and details == {"count": expected, "oracle_count": expected}
     for q, expected in [(2, 5), (3, 7)]:
-        glued = glued_local_model_count(spec, q, 0)
-        direct = chain_subspace_count(spec, q, 0)
-        ok = ok and glued == direct == expected
-    mu = mu_ideal(2, 1, 1)
-    via_groebner = dimension(mu.ideal)
-    via_growth = dimension_growth_oracle(list(mu.generators), p=2)
-    ok = ok and via_groebner == via_growth == 4
+        passed, details = check_glued_count(
+            {"n": 2, "r": 1, "N": 1, "d": [1, 1], "q": q, "tau": 0, "expected": expected}, 0
+        )
+        ok = ok and passed and details == {"glued": expected, "direct": expected}
+    passed, details = check_mu_dimension({"n": 2, "r": 1, "N": 1, "expected": 4}, 0)
+    ok = ok and passed and details == {"groebner": 4, "growth_oracle": 4}
     _report(8, "oracle cross-checks", ok, time.monotonic() - t0)

@@ -1,18 +1,22 @@
 import json
 import os
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latmod.chains import ChainSpec
 from latmod.chart import ChartIdeal
+from latmod.gfq import SmallField
 from latmod.ideals import PolyIdeal
 from latmod.intlinalg import IntMatrix, snf
-from latmod.poly import GF, PolyRing, QQ
+from latmod.poly import GF, MultiPoly, PolyRing, QQ
 from latmod.schemes import mu_ideal
 from latmod.verify import (
     chain_subspace_count,
     count_points,
+    count_points_small_field,
     dimension_growth_oracle,
     generic_fiber_smooth_check,
     glued_local_model_count,
@@ -132,6 +136,95 @@ def test_count_points_refuses_beyond_bound():
     chart = ChartIdeal(PolyIdeal(R, []), "big")
     with pytest.raises(ValueError):
         count_points(chart, 2, 0)
+
+
+def test_count_points_maps_fraction_coefficients_into_the_field():
+    R = PolyRing(QQ, ["x", "t"])
+    x, t = R.gens()
+    # 1/2 = 3 in F_5, so 3x + 1 = 0 has the one root x = 3
+    assert count_points(ChartIdeal(PolyIdeal(R, [x / 2 + 1]), "half"), 5, 0).count == 1
+    with pytest.raises(ValueError):
+        count_points(ChartIdeal(PolyIdeal(R, [x / 5 + 1]), "fifth"), 5, 0)
+    with pytest.raises(ValueError):
+        count_points_small_field([x / 2 + t], SmallField(2, 2))
+
+
+def _embed(c, p):
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _value(f, point, sf):
+    acc = 0
+    for e, c in f.terms.items():
+        v = _embed(c, sf.p)
+        for name, k in zip(f.ring.names, e):
+            v = sf.mul(v, sf.pow(point[name], k))
+        acc = sf.add(acc, v)
+    return acc
+
+
+def _brute_force_count(gens, names, sf, fixed):
+    """Points of F_q^names, with the fixed values added, where every
+    generator vanishes, found by trying every point."""
+    count = 0
+    for values in product(range(sf.q), repeat=len(names)):
+        point = dict(zip(names, values), **fixed)
+        if all(_value(g, point, sf) == 0 for g in gens):
+            count += 1
+    return count
+
+
+@st.composite
+def _polys(draw, ring, names, p):
+    """A polynomial in ``names`` of degree at most 2 in each, with up to
+    three terms whose Fraction coefficients have denominators prime to p;
+    the empty dictionary gives the zero polynomial."""
+    positions = [ring.index[n] for n in names]
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    coeffs = st.builds(
+        Fraction, st.integers(-3, 3), st.integers(1, 6).filter(lambda d: d % p)
+    )
+    terms = {}
+    for e, c in draw(st.dictionaries(exps, coeffs, max_size=3)).items():
+        full = [0] * ring.nvars
+        for i, k in zip(positions, e):
+            full[i] = k
+        terms[tuple(full)] = c
+    return MultiPoly(ring, terms)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_count_points_small_field_matches_brute_force(p, k, data):
+    sf = SmallField(p, k)
+    names = ["x", "y", "z"][: data.draw(st.integers(1, 3 if sf.q <= 5 else 2))]
+    R = PolyRing(QQ, names)
+    gens = data.draw(st.lists(_polys(R, names, p), min_size=1, max_size=3))
+    assert count_points_small_field(gens, sf) == _brute_force_count(gens, names, sf, {})
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_count_points_matches_brute_force_over_chart_and_inverses(q, data):
+    """The chart count with t fixed equals a brute-force count over every
+    coordinate and every inverse auxiliary y, each with its relation
+    y*f - 1 as a generator."""
+    coords = ["x", "y"][: data.draw(st.integers(1, 2))]
+    aux = ["u", "v"][: data.draw(st.integers(0, 2))]
+    R = PolyRing(QQ, coords + aux + ["t"])
+    inverted = [data.draw(_polys(R, coords + ["t"], q)) for _ in aux]
+    plain = data.draw(st.lists(_polys(R, coords + ["t"], q), max_size=2))
+    gens = plain + [R.var(a) * f - 1 for a, f in zip(aux, inverted)]
+    tau = data.draw(st.integers(-q, 2 * q))
+    chart = ChartIdeal(PolyIdeal(R, gens), "drawn", inverses=tuple(zip(aux, inverted)))
+    rep = count_points(chart, q, tau)
+    assert rep.coords == tuple(coords)
+    assert rep.count == _brute_force_count(
+        gens, coords + aux, SmallField(q, 1), {"t": tau % q}
+    )
 
 
 def test_count_points_chart_census_vs_normal_form_census():
