@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chains import ChainSpec
+from .chains import ChainSpec, ParabolicShape
 from .chainnf import chain_normal_form, conjugated_chain_point, point_in_mu_chart
 from .characters import (
     character_data,
@@ -26,7 +26,7 @@ from .characters import (
 )
 from .chart import ChartIdeal
 from .errors import NormalFormFailure
-from .gfq import mat_inv
+from .gfq import SmallField, mat_inv
 from .ideals import PolyIdeal, dimension, saturate
 from .indexset import enumerate_index_set
 from .opencell import open_cell_factors_through_mu, open_cell_ratio_invariance
@@ -47,6 +47,7 @@ from .schemes import (
 from .verify import (
     chain_subspace_count,
     dimension_growth_oracle,
+    enumerate_points,
     generic_fiber_smooth_check,
     glued_local_model_count,
 )
@@ -146,23 +147,20 @@ def check_chain_roundtrip(params: Dict, seed: int) -> Tuple[bool, Dict]:
 
 
 def _mu_chart_points(spec: ChainSpec, q: int):
-    """Exhaustive chart-locus points: shape assignments satisfying the
-    cyclic equations with ranks at least n - d_i, for every tau."""
-    from itertools import product as iproduct
-
-    from .chains import ParabolicShape
-
-    field = GF(q)
-    shape = ParabolicShape(spec.n, spec.r)
-    positions = shape.positions()
+    """Chart-locus points (mats, tau) for every tau: the pruned enumeration
+    of mu over F_q with t = tau, kept where the rank bounds n - d_i hold."""
+    mu = mu_ideal(spec.n, spec.r, spec.N)
+    coords = [v for v in mu.ring.names if v != "t"]
+    positions = ParabolicShape(spec.n, spec.r).positions()
     width = len(positions)
+    field, sf = GF(q), SmallField(q, 1)
     for tau in range(q):
-        for assignment in iproduct(range(q), repeat=width * (spec.N + 1)):
+        for values in enumerate_points(mu.generators, [], coords, sf, {"t": tau}):
             mats = []
             for i in range(spec.N + 1):
                 m = [[0] * spec.n for _ in range(spec.n)]
                 for k, (a, b) in enumerate(positions):
-                    m[a][b] = assignment[i * width + k]
+                    m[a][b] = values[i * width + k]
                 mats.append(m)
             if point_in_mu_chart(spec, mats, tau, field):
                 yield mats, tau

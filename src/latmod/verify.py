@@ -1,6 +1,6 @@
 """Certificates and oracles: Jacobian smoothness, finite-field point
-counting, brute-force dimension fitting, and the independent combinatorial
-oracles backing the derived expected values."""
+enumeration and counting, brute-force dimension fitting, and the independent
+combinatorial oracles backing the derived expected values."""
 
 from __future__ import annotations
 
@@ -193,7 +193,8 @@ def count_points(
     t_value: int,
     max_coords: int = 12,
 ) -> PointCountReport:
-    """Exhaustive affine point count over F_q with t specialized.
+    """Affine point count over F_q with t specialized: every point of the
+    pruned complete enumeration (``enumerate_points``) is counted.
 
     Chart-inverse auxiliaries are not enumerated: they are determined by
     nonvanishing of the inverted elements, which is enforced instead.
@@ -213,14 +214,14 @@ def count_points(
         if any(v in aux for v in g.support_vars()):
             continue
         plain_gens.append(g)
-    count = _prune_count(
+    points = enumerate_points(
         plain_gens, inverted, coords, SmallField(q, 1), {"t": t_value % q}
     )
     return PointCountReport(
         provenance=chart.provenance,
         q=q,
         t_value=t_value % q,
-        count=count,
+        count=sum(1 for _ in points),
         coords=tuple(coords),
         exhaustive=True,
     )
@@ -231,7 +232,7 @@ def count_points_small_field(gens: Sequence[MultiPoly], sf: SmallField) -> int:
     variables."""
     if not gens:
         raise ValueError("need at least the ring")
-    return _prune_count(gens, [], gens[0].ring.names, sf, {})
+    return sum(1 for _ in enumerate_points(gens, [], gens[0].ring.names, sf, {}))
 
 
 def _compile(f: MultiPoly, sf: SmallField, slot: Dict[str, int], fixed: Dict[str, int]):
@@ -263,15 +264,14 @@ def _compile(f: MultiPoly, sf: SmallField, slot: Dict[str, int], fixed: Dict[str
     return terms, max((i + 1 for _, fs in terms for i, _ in fs), default=0)
 
 
-def _prune_count(
-    gens, inverted, coords, sf: SmallField, fixed: Dict[str, int]
-) -> int:
-    """Number of points of F_q^coords (q = sf.q) where every generator
-    vanishes and no inverted element does.
+def enumerate_points(gens, inverted, coords, sf: SmallField, fixed: Dict[str, int]):
+    """Yield, as tuples in coords order, the points of F_q^coords
+    (q = sf.q) where every generator vanishes and no inverted element does.
 
     Depth-first assignment of the coordinates in the given order; each
     polynomial is tested as soon as its last coordinate is assigned, so a
-    failing partial assignment is never extended.
+    failing partial assignment is never extended.  Points come out in
+    lexicographic order.
     """
     slot = {name: i for i, name in enumerate(coords)}
     checks: List[List[Tuple[list, bool]]] = [[] for _ in range(len(coords) + 1)]
@@ -296,17 +296,17 @@ def _prune_count(
                 return False
         return True
 
-    def rec(depth: int) -> int:
+    def rec(depth: int):
         if depth == len(coords):
-            return 1
-        total = 0
+            yield tuple(point)
+            return
         for x in range(sf.q):
             point[depth] = x
             if ok(depth + 1):
-                total += rec(depth + 1)
-        return total
+                yield from rec(depth + 1)
 
-    return rec(0) if ok(0) else 0
+    if ok(0):
+        yield from rec(0)
 
 
 # -- independent combinatorial oracles ----------------------------------------------

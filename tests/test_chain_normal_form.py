@@ -92,6 +92,18 @@ def test_membership_census_2_1_1():
         assert details["failures"] == 0
 
 
+def test_chain_census_f3_n3():
+    """The F_3 census of the chart locus for n = 3, N = 1: 2,400 points at
+    tau = 0 and 864 at each unit tau, every one with a normal form."""
+    from latmod.suite import check_chain_census
+
+    ok, details = check_chain_census(
+        {"n": 3, "r": 1, "N": 1, "d": [1, 2], "q": 3}, 0
+    )
+    assert ok, details
+    assert details == {"q": 3, "chart_points": 4128, "failures": 0}
+
+
 def test_point_in_mu_chart_checks():
     spec = ChainSpec(2, 1, 1, (1, 1))
     field = GF(3)

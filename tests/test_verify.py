@@ -1,23 +1,28 @@
 import json
+import math
 import os
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latmod.chains import ChainSpec
+from latmod.chainnf import point_in_mu_chart
+from latmod.chains import ChainSpec, ParabolicShape
 from latmod.chart import ChartIdeal
-from latmod.gfq import SmallField
+from latmod.gfq import SmallField, mat_mul
 from latmod.ideals import PolyIdeal
 from latmod.intlinalg import IntMatrix, snf
 from latmod.poly import GF, MultiPoly, PolyRing, QQ
 from latmod.schemes import mu_ideal
+from latmod.suite import _mu_chart_points
 from latmod.verify import (
     chain_subspace_count,
     count_points,
     count_points_small_field,
     dimension_growth_oracle,
+    enumerate_points,
     generic_fiber_smooth_check,
     glued_local_model_count,
     smooth_check,
@@ -227,27 +232,93 @@ def test_count_points_matches_brute_force_over_chart_and_inverses(q, data):
     )
 
 
-def test_count_points_chart_census_vs_normal_form_census():
-    """Affine chart census agrees with the membership census used by the
-    normal-form checks (cross-oracle agreement at q = 2, tau = 0)."""
-    from latmod.suite import _mu_chart_points
+def _exhaustive_shape_walk(spec, q):
+    """Every shape assignment for every tau, as (values, mats, tau), with
+    values in the order of the mu ring's Pi coordinates: the exhaustive
+    reference for the pruned enumeration."""
+    positions = ParabolicShape(spec.n, spec.r).positions()
+    width = len(positions)
+    for tau in range(q):
+        for values in product(range(q), repeat=width * (spec.N + 1)):
+            mats = []
+            for i in range(spec.N + 1):
+                m = [[0] * spec.n for _ in range(spec.n)]
+                for k, (a, b) in enumerate(positions):
+                    m[a][b] = values[i * width + k]
+                mats.append(m)
+            yield values, mats, tau
 
-    spec = ChainSpec(2, 1, 1, (1, 1))
-    pts = [(p, tau) for p, tau in _mu_chart_points(spec, 2)]
-    zero_fiber = [p for p, tau in pts if tau == 0]
-    # direct evaluation of the chart conditions, as an independent count
-    count = 0
-    field = GF(2)
-    from latmod.chainnf import point_in_mu_chart
 
-    for a in product(range(2), repeat=6):
-        mats = [
-            [[a[0], a[1]], [0, a[2]]],
-            [[a[3], a[4]], [0, a[5]]],
-        ]
-        if point_in_mu_chart(spec, mats, 0, field):
-            count += 1
-    assert count == len(zero_fiber)
+def _cyclic_products_equal(mats, tau, field):
+    n, count = len(mats[0]), len(mats)
+    target = [[tau if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(count):
+        prod = mats[j]
+        for k in range(1, count):
+            prod = mat_mul(prod, mats[(j + k) % count], field)
+        if prod != target:
+            return False
+    return True
+
+
+def _mats_key(mats):
+    return tuple(tuple(row) for m in mats for row in m)
+
+
+@pytest.mark.parametrize(
+    "spec,q",
+    [
+        (ChainSpec(2, 1, 1, (1, 1)), 2),
+        (ChainSpec(2, 1, 1, (1, 1)), 3),
+        (ChainSpec(3, 1, 1, (1, 2)), 2),
+    ],
+)
+def test_mu_chart_points_match_exhaustive_walk(spec, q):
+    """The pruned enumeration of mu with t = tau yields exactly the shape
+    assignments whose cyclic products are tau * Id, and the chart census
+    built on it yields exactly the (point, tau) pairs of the chart locus."""
+    field = GF(q)
+    on_mu, in_chart = set(), set()
+    for values, mats, tau in _exhaustive_shape_walk(spec, q):
+        if _cyclic_products_equal(mats, tau, field):
+            on_mu.add((values, tau))
+            # the chart locus lies on mu: point_in_mu_chart tests the
+            # products too, so the assignments off mu need no call
+            if point_in_mu_chart(spec, mats, tau, field):
+                in_chart.add((_mats_key(mats), tau))
+    mu = mu_ideal(spec.n, spec.r, spec.N)
+    coords = [v for v in mu.ring.names if v != "t"]
+    assert on_mu == {
+        (values, tau)
+        for tau in range(q)
+        for values in enumerate_points(
+            mu.generators, [], coords, SmallField(q, 1), {"t": tau}
+        )
+    }
+    assert in_chart == {(_mats_key(m), tau) for m, tau in _mu_chart_points(spec, q)}
+
+
+def _gl_order(m, q):
+    return math.prod(q**m - q**i for i in range(m))
+
+
+@pytest.mark.parametrize(
+    "spec,q,per_unit_tau",
+    [
+        (ChainSpec(2, 1, 1, (1, 1)), 3, 12),
+        (ChainSpec(3, 1, 1, (1, 2)), 2, 24),
+        (ChainSpec(3, 1, 1, (1, 2)), 3, 864),
+    ],
+)
+def test_mu_chart_points_unit_fibres_closed_form(spec, q, per_unit_tau):
+    """For tau a unit every slot is invertible and Pi_N is determined by
+    the others, so each unit fibre has |P(F_q)|^N chart points, with
+    |P(F_q)| = q^(r(n-r)) |GL_r(F_q)| |GL_(n-r)(F_q)|."""
+    n, r = spec.n, spec.r
+    parabolic = q ** (r * (n - r)) * _gl_order(r, q) * _gl_order(n - r, q)
+    assert parabolic**spec.N == per_unit_tau
+    counts = Counter(tau for _, tau in _mu_chart_points(spec, q))
+    assert all(counts[tau] == per_unit_tau for tau in range(1, q))
 
 
 def test_mu_chart_count_matches_normal_form_success_census():
@@ -255,7 +326,6 @@ def test_mu_chart_count_matches_normal_form_success_census():
     points on that chart, and every one of them admits a normal form."""
     from latmod.chainnf import chain_normal_form
     from latmod.schemes import mu_chart_ideal
-    from latmod.suite import _mu_chart_points
 
     spec = ChainSpec(2, 1, 1, (1, 1))
     chart = mu_chart_ideal(spec)  # inverts the (1,2) entry of each slot
