@@ -8,8 +8,8 @@ downstream torsion-freeness verdict can be replayed from the returned data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import List, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Sequence, Set, Tuple
 
 
 class IntMatrix:
@@ -28,6 +28,16 @@ class IntMatrix:
         self.entries = entries
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: Tuple[int, ...]) -> "IntMatrix":
+        """Wrap a tuple of ``rows * cols`` Python ints built in this module,
+        without the per-entry conversion and checks of ``__init__``."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+        return self
+
+    @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -36,15 +46,15 @@ class IntMatrix:
             if len(r) != cols:
                 raise ValueError("ragged rows")
             flat.extend(int(x) for x in r)
-        return cls(rows, cols, flat)
+        return cls._of(rows, cols, tuple(flat))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._of(rows, cols, (0,) * (rows * cols))
 
     def __getitem__(self, rc: Tuple[int, int]) -> int:
         i, j = rc
@@ -54,33 +64,34 @@ class IntMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> Tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> List[List[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        flat: List[int] = []
+        for j in range(self.cols):
+            flat.extend(self.col(j))
+        return IntMatrix._of(self.cols, self.rows, tuple(flat))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = [0] * (self.rows * other.cols)
+        oc = other.cols
+        # Only the nonzeros of both factors are visited.
+        orows = [
+            [(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)
+        ]
+        out: List[int] = []
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    out[rbase + j] += a * other.entries[obase + j]
-        return IntMatrix(self.rows, other.cols, out)
+            acc = [0] * oc
+            for a, orow in zip(self.row(i), orows):
+                if a:
+                    for j, b in orow:
+                        acc[j] += a * b
+            out.extend(acc)
+        return IntMatrix._of(self.rows, oc, tuple(out))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -163,117 +174,133 @@ class SnfResult:
 def snf(A: IntMatrix) -> SnfResult:
     """Smith normal form with transformation witnesses.
 
-    Classical reduction: repeatedly move a minimal nonzero entry to the
-    pivot, clear its row and column with exact integer row/column
-    operations, and restart the pivot whenever a non-divisible remainder
-    shows up.  All operations are mirrored on U (rows) and V (columns),
-    so ``U*A*V == D`` holds exactly at every step.
+    Sparse elimination: the working matrix is one ``{col: value}`` dict per
+    active row plus, per column, the set of active rows that hold a nonzero
+    there.  Each pivot is the active entry of least absolute value, ties
+    broken by the Markowitz cost ``(row nnz - 1) * (col nnz - 1)``, so unit
+    pivots with short rows and columns go first and fill stays low.  Row
+    operations clear the pivot column; column operations then clear the
+    pivot row, and once the column is clear they touch only the pivot row.
+    A remainder restarts the pivot search, and a finished pivot that fails
+    to divide the rest of the active block has an offending row folded
+    into its own, which keeps the divisibility chain.
+
+    Row operations are mirrored on the sparse rows of U and column
+    operations on the sparse columns of V.  The dense U, D and V are built
+    once at the end, with the pivot rows and columns moved to the front in
+    pivot order, and ``U * A * V == D`` is checked exactly before returning.
     """
     rows, cols = A.rows, A.cols
-    m = A.to_rows()
-    U = IntMatrix.identity(rows).to_rows()
-    V = IntMatrix.identity(cols).to_rows()
+    m: Dict[int, Dict[int, int]] = {}
+    where: Dict[int, Set[int]] = {j: set() for j in range(cols)}
+    for i in range(rows):
+        m[i] = row = {j: v for j, v in enumerate(A.row(i)) if v}
+        for j in row:
+            where[j].add(i)
+    U = {i: {i: 1} for i in range(rows)}  # sparse rows
+    V = {j: {j: 1} for j in range(cols)}  # sparse columns
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
+    def axpy(dst, src, c):
+        # dst += c * src; c != 0, so a vanishing sum was already in dst
+        for k, v in src.items():
+            x = dst.get(k, 0) + c * v
+            if x:
+                dst[k] = x
+            else:
+                del dst[k]
 
     def add_row(src, dst, c):
         # row[dst] += c * row[src]
-        mr, ms = m[dst], m[src]
-        for k in range(cols):
-            mr[k] += c * ms[k]
-        ur, us = U[dst], U[src]
-        for k in range(rows):
-            ur[k] += c * us[k]
+        rd = m[dst]
+        axpy(rd, m[src], c)
+        for j in m[src]:
+            if j in rd:
+                where[j].add(dst)
+            else:
+                where[j].discard(dst)
+        axpy(U[dst], U[src], c)
 
     def add_col(src, dst, c):
-        for r in m:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
+        # col[dst] += c * col[src]
+        wd = where[dst]
+        for i in where[src]:
+            r = m[i]
+            x = r.get(dst, 0) + c * r[src]
+            if x:
+                if dst not in r:
+                    wd.add(i)
+                r[dst] = x
+            else:
+                del r[dst]
+                wd.discard(i)
+        axpy(V[dst], V[src], c)
 
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        U[i] = [-x for x in U[i]]
-
-    n = min(rows, cols)
-    for k in range(n):
-        # Find a pivot: smallest nonzero |entry| in the remaining block.
-        pivot = None
+    def pick():
         best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = m[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        while True:
-            i, j = pivot
-            if i != k:
-                swap_rows(k, i)
-            if j != k:
-                swap_cols(k, j)
-            if m[k][k] < 0:
-                negate_row(k)
-            # Clear column k below the pivot.
-            dirty = False
-            for i in range(k + 1, rows):
-                if m[i][k] != 0:
-                    q = m[i][k] // m[k][k]
-                    add_row(k, i, -q)
-                    if m[i][k] != 0:
-                        dirty = True
-            # Clear row k right of the pivot.
-            for j in range(k + 1, cols):
-                if m[k][j] != 0:
-                    q = m[k][j] // m[k][k]
-                    add_col(k, j, -q)
-                    if m[k][j] != 0:
-                        dirty = True
-            if not dirty:
-                # Pivot must divide the whole remaining block for the
-                # divisibility chain; if not, fold an offender in.
-                offender = None
-                for i in range(k + 1, rows):
-                    for j in range(k + 1, cols):
-                        if m[i][j] % m[k][k] != 0:
-                            offender = (i, j)
-                            break
-                    if offender:
-                        break
-                if offender is None:
-                    break
-                add_row(offender[0], k, 1)
-                pivot = (k, k)
-                continue
-            # Re-pick the smallest entry and loop.
-            pivot = None
-            best = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    v = m[i][j]
-                    if v != 0 and (best is None or abs(v) < best):
-                        best = abs(v)
-                        pivot = (i, j)
+        best_key = None
+        for i, r in m.items():
+            ri = len(r) - 1
+            for j, v in r.items():
+                key = (v if v > 0 else -v, ri * (len(where[j]) - 1))
+                if best_key is None or key < best_key:
+                    best, best_key = (i, j), key
+                    if key == (1, 0):
+                        return best
+        return best
 
-    D = IntMatrix.from_rows(m) if rows else IntMatrix.zero(rows, cols)
-    invariants = tuple(m[i][i] for i in range(n)) if n else ()
+    pivots: List[Tuple[int, int, int]] = []
+    pivot = pick()
+    while pivot is not None:
+        while True:
+            r, c = pivot
+            p = m[r][c]
+            if p < 0:
+                p = -p
+                m[r] = {j: -v for j, v in m[r].items()}
+                U[r] = {k: -v for k, v in U[r].items()}
+            dirty = False
+            for i in [i for i in where[c] if i != r]:
+                add_row(r, i, -(m[i][c] // p))
+                dirty = dirty or c in m[i]
+            for j in [j for j in m[r] if j != c]:
+                add_col(c, j, -(m[r][j] // p))
+                dirty = dirty or j in m[r]
+            if dirty:
+                pivot = pick()
+                continue
+            # The pivot must divide the whole active block for the
+            # divisibility chain; if it does not, fold an offender in.
+            offender = None
+            if p != 1:
+                offender = next(
+                    (i for i, row in m.items() if i != r and any(v % p for v in row.values())),
+                    None,
+                )
+            if offender is None:
+                break
+            add_row(offender, r, 1)
+        pivots.append((r, c, p))
+        del m[r], where[c]
+        pivot = pick()
+
+    def dense(vecs, width):
+        # one row per sparse vector
+        flat = [0] * (len(vecs) * width)
+        for t, vec in enumerate(vecs):
+            for k, v in vec.items():
+                flat[t * width + k] = v
+        return IntMatrix._of(len(vecs), width, tuple(flat))
+
+    # The rows and columns left in m and where are the non-pivot ones.
+    diag = [{t: p} for t, (_, _, p) in enumerate(pivots)]
     result = SnfResult(
-        U=IntMatrix.from_rows(U) if rows else IntMatrix.identity(0),
-        D=D,
-        V=IntMatrix.from_rows(V) if cols else IntMatrix.identity(0),
-        invariants=invariants,
+        U=dense([U[r] for r, _, _ in pivots] + [U[i] for i in m], rows),
+        D=dense(diag + [{}] * (rows - len(pivots)), cols),
+        V=dense([V[c] for _, c, _ in pivots] + [V[j] for j in where], cols).transpose(),
+        invariants=tuple(p for _, _, p in pivots) + (0,) * (min(rows, cols) - len(pivots)),
     )
-    assert result.U * A * result.V == result.D
+    if result.U * A * result.V != result.D:
+        raise AssertionError("Smith normal form witness check failed: U * A * V != D")
     return result
 
 
@@ -301,8 +328,10 @@ def saturated_kernel(A: IntMatrix) -> IntMatrix:
     n = min(A.rows, A.cols)
     free_cols = [j for j in range(n) if res.invariants[j] == 0]
     free_cols += list(range(n, A.cols))
-    basis = [res.V.col(j) for j in free_cols]
-    return IntMatrix.from_rows(basis) if basis else IntMatrix.zero(0, A.cols)
+    basis: List[int] = []
+    for j in free_cols:
+        basis.extend(res.V.col(j))
+    return IntMatrix._of(len(free_cols), A.cols, tuple(basis))
 
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> List[int] | None:
@@ -310,33 +339,26 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> List[int] | None:
     if len(b) != A.rows:
         raise ValueError("length mismatch")
     res = snf(A)
-    c = [sum(res.U[i, k] * b[k] for k in range(A.rows)) for i in range(A.rows)]
     n = min(A.rows, A.cols)
     y = [0] * A.cols
     for i in range(A.rows):
-        d = res.D[i, i] if i < n else 0
+        c = sum(map(mul, res.U.row(i), b))
+        d = res.invariants[i] if i < n else 0
         if d == 0:
-            if c[i] != 0:
+            if c != 0:
                 return None
         else:
-            if c[i] % d != 0:
+            if c % d != 0:
                 return None
-            y[i] = c[i] // d
-    return [sum(res.V[i, k] * y[k] for k in range(A.cols)) for i in range(A.cols)]
+            y[i] = c // d
+    return [sum(map(mul, res.V.row(i), y)) for i in range(A.cols)]
 
 
 def row_stack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
     if top.cols != bottom.cols and top.rows and bottom.rows:
         raise ValueError("column mismatch")
     cols = top.cols if top.rows else bottom.cols
-    return IntMatrix(top.rows + bottom.rows, cols, top.entries + bottom.entries)
-
-
-def content(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return IntMatrix._of(top.rows + bottom.rows, cols, top.entries + bottom.entries)
 
 
 def lattice_membership(basis: IntMatrix, v: Sequence[int]) -> List[int] | None:
