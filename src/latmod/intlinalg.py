@@ -50,10 +50,14 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         return cls._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         return cls._of(rows, cols, (0,) * (rows * cols))
 
     def __getitem__(self, rc: Tuple[int, int]) -> int:
@@ -259,11 +263,17 @@ def snf(A: IntMatrix) -> SnfResult:
                 m[r] = {j: -v for j, v in m[r].items()}
                 U[r] = {k: -v for k, v in U[r].items()}
             dirty = False
+            # A quotient of 0 (an entry 0 < v < p, as a fold can leave in
+            # the pivot row) is no operation; the entry stays and is dirty.
             for i in [i for i in where[c] if i != r]:
-                add_row(r, i, -(m[i][c] // p))
+                q = m[i][c] // p
+                if q:
+                    add_row(r, i, -q)
                 dirty = dirty or c in m[i]
             for j in [j for j in m[r] if j != c]:
-                add_col(c, j, -(m[r][j] // p))
+                q = m[r][j] // p
+                if q:
+                    add_col(c, j, -q)
                 dirty = dirty or j in m[r]
             if dirty:
                 pivot = pick()

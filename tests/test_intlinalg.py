@@ -279,6 +279,25 @@ def test_snf_zero_rows_and_columns(rows):
     _assert_matches_reference(IntMatrix.from_rows(rows))
 
 
+# Pivot (0, 0) = 4, then (1, 0) = 2; the fold of the offender row leaves
+# the entry 1 < 2 in the pivot row, whose quotient by the pivot is 0.
+_FOLD_BELOW_PIVOT = [[4, -4], [6, -4], [10, -7], [0, 8]]
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_snf_fold_leaves_entry_below_pivot(transpose):
+    A = IntMatrix.from_rows(_FOLD_BELOW_PIVOT)
+    _assert_matches_reference(A.transpose() if transpose else A)
+
+
+def test_constructors_reject_negative_dimensions():
+    for rows, cols in [(-1, 3), (3, -1)]:
+        with pytest.raises(ValueError):
+            IntMatrix.zero(rows, cols)
+    with pytest.raises(ValueError):
+        IntMatrix.identity(-1)
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_snf_empty_shapes(shape):
     A = IntMatrix.zero(*shape)
