@@ -15,6 +15,7 @@ choice; only invertibility needs the complement property.
 
 from __future__ import annotations
 
+import random
 from typing import List, Sequence
 
 from .chains import ChainSpec, shift_matrix_value
@@ -27,16 +28,27 @@ from .gfq import (
     mat_rank,
     mat_scale,
 )
-from .poly import Field
+from .poly import GF, Field
 
 
-def _cyclic_products_ok(point, tau, field: Field) -> bool:
+def random_frame(rng: random.Random, n: int, q: int):
+    """Random invertible n x n matrix over GF(q), redrawn until of rank n."""
+    field = GF(q)
+    while True:
+        m = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        if mat_rank(m, field) == n:
+            return m
+
+
+def cyclic_products_ok(point, tau, field: Field) -> bool:
+    """Every cyclic product Pi_j Pi_{j+1} ... Pi_{j-1} equals tau * Id."""
     n = len(point[0])
     count = len(point)
-    target = mat_scale(mat_identity(n, field), field.coerce(tau), field)
+    tau = field.coerce(tau)
+    target = [[tau if i == j else field.zero for j in range(n)] for i in range(n)]
     for j in range(count):
-        prod = mat_identity(n, field)
-        for k in range(count):
+        prod = point[j]
+        for k in range(1, count):
             prod = mat_mul(prod, point[(j + k) % count], field)
         if prod != target:
             return False
@@ -53,7 +65,7 @@ def point_in_mu_chart(spec: ChainSpec, point, tau, field: Field) -> bool:
             for j in range(spec.r):
                 if m[i][j]:
                     return False
-    if not _cyclic_products_ok(point, tau, field):
+    if not cyclic_products_ok(point, tau, field):
         return False
     for i, m in enumerate(point):
         if mat_rank(m, field) < n - spec.step(i):
@@ -76,7 +88,7 @@ def chain_normal_form(
         len(m) != n or any(len(row) != n for row in m) for m in point
     ):
         raise ValueError("point must consist of N+1 square matrices")
-    if not _cyclic_products_ok(point, tau, field):
+    if not cyclic_products_ok(point, tau, field):
         raise NormalFormFailure("cyclic products do not equal tau * Id")
 
     if tau:
@@ -105,20 +117,19 @@ def chain_normal_form(
             complements.append(column_space_complement(point[m_idx], field))
         psi = []
         for i in range(N + 1):
-            cols: List[List[object]] = []
-            for j in range(i + N, i - 1, -1):
-                prefix = mat_identity(n, field)
-                for k in range(i + 1, j + 1):
-                    prefix = mat_mul(prefix, point[k % (N + 1)], field)
-                block = complements[(j + 1) % (N + 1)]
-                for v in block:
-                    w = [sum_row(prefix[row], v, field) for row in range(n)]
-                    cols.append(w)
-            psi_i = [[cols[c][rw] for c in range(n)] for rw in range(n)]
-            psi.append(psi_i)
+            # blocks P_j G_{j+1} for j = i..i+N: P_j = Pi_{i+1}...Pi_j (P_i = Id)
+            # and G_m holds the unit vectors complementing im(Pi_m) as columns
+            prefix, blocks = None, []
+            for j in range(i, i + N + 1):
+                if j > i:
+                    m = point[j % (N + 1)]
+                    prefix = m if prefix is None else mat_mul(prefix, m, field)
+                g = [[v[row] for v in complements[(j + 1) % (N + 1)]] for row in range(n)]
+                blocks.append(g if prefix is None else mat_mul(prefix, g, field))
+            psi.append([sum(rows, []) for rows in zip(*reversed(blocks))])
 
     for i in range(N + 1):
-        if mat_inv(psi[i], field) is None:
+        if mat_rank(psi[i], field) != n:
             raise NormalFormFailure(f"assembled frame {i} is singular")
     for i in range(N + 1):
         lhs = mat_mul(point[i], psi[i], field)
@@ -130,14 +141,6 @@ def chain_normal_form(
         if lhs != rhs:
             raise NormalFormFailure(f"conjugation identity failed at slot {i}")
     return psi
-
-
-def sum_row(row, v, field: Field):
-    acc = field.zero
-    for a, b in zip(row, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
 
 
 def conjugated_chain_point(

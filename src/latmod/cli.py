@@ -17,7 +17,7 @@ from typing import Optional
 import click
 
 from .chains import ChainSpec
-from .chainnf import chain_normal_form, conjugated_chain_point
+from .chainnf import chain_normal_form, conjugated_chain_point, random_frame
 from .characters import character_data, kernel_is_torus_check, quotient_by_subtorus_check
 from .chart import ChartIdeal
 from .errors import NormalFormFailure
@@ -165,19 +165,10 @@ def chain_nf(n, r, bign, d, q, tau, seed, out):
     recover a normal form and verify it exactly."""
     import random
 
-    from .gfq import mat_inv
-
     spec = ChainSpec(n, r, bign, _parse_d(d))
     field = GF(q)
     rng = random.Random(seed)
-
-    def rand_inv():
-        while True:
-            m = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            if mat_inv(m, field) is not None:
-                return m
-
-    frames = [rand_inv() for _ in range(bign + 1)]
+    frames = [random_frame(rng, n, q) for _ in range(bign + 1)]
     point = conjugated_chain_point(spec, frames, tau, field)
     try:
         psi = chain_normal_form(spec, point, tau, field)

@@ -9,6 +9,7 @@ precomputed tables for the dimension-growth oracle.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Sequence
 
 from .poly import Field
@@ -21,37 +22,26 @@ def mat_identity(n: int, field: Field) -> List[List[object]]:
 
 
 def mat_mul(A, B, field: Field):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = [[field.zero] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        oi = out[i]
-        for l in range(k):
-            a = Ai[l]
-            if not a:
-                continue
-            Bl = B[l]
-            for j in range(m):
-                oi[j] = field.add(oi[j], field.mul(a, Bl[j]))
+    # plain products summed per entry, reduced once (nothing to do over QQ)
+    p, zero = field.p, field.zero
+    cols = list(zip(*B))
+    out = []
+    for Ai in A:
+        row = []
+        for col in cols:
+            acc = sum(map(mul, Ai, col), zero)
+            row.append(acc % p if p else acc)
+        out.append(row)
     return out
 
+
 def mat_vec(A, v, field: Field):
-    return [
-        _dot(A[i], v, field)
-        for i in range(len(A))
-    ]
-
-
-def _dot(row, v, field: Field):
-    acc = field.zero
-    for a, b in zip(row, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+    return [row[0] for row in mat_mul(A, [[x] for x in v], field)]
 
 
 def mat_scale(A, c, field: Field):
-    return [[field.mul(x, c) for x in row] for row in A]
+    p = field.p
+    return [[x * c % p if p else x * c for x in row] for row in A]
 
 
 def mat_sub(A, B, field: Field):
@@ -62,8 +52,11 @@ def mat_sub(A, B, field: Field):
 
 
 def rref(A, field: Field):
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    R = [list(row) for row in A]
+    """Reduced row echelon form; returns (R, pivot column list).  Entries are
+    reduced once per row operation (% p over GF(p), so int input may be
+    unreduced; nothing over QQ)."""
+    p = field.p
+    R = [[x % p for x in row] if p else list(row) for row in A]
     rows = len(R)
     cols = len(R[0]) if rows else 0
     pivots = []
@@ -78,11 +71,11 @@ def rref(A, field: Field):
             continue
         R[r], R[pr] = R[pr], R[r]
         inv = field.div(field.one, R[r][c])
-        R[r] = [field.mul(x, inv) for x in R[r]]
+        Rr = R[r] = [x * inv % p if p else x * inv for x in R[r]]
         for i in range(rows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[i], R[r])]
+            f = R[i][c]
+            if f and i != r:
+                R[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(R[i], Rr)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -99,8 +92,8 @@ def mat_rank(A, field: Field) -> int:
 def mat_inv(A, field: Field):
     """Inverse, or None when singular."""
     n = len(A)
-    aug = [list(A[i]) + mat_identity(n, field)[i] for i in range(n)]
-    R, pivots = rref(aug, field)
+    unit = mat_identity(n, field)
+    R, pivots = rref([list(A[i]) + unit[i] for i in range(n)], field)
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in R]
@@ -134,25 +127,15 @@ def column_space_complement(A, field: Field) -> List[List[object]]:
     """Standard basis vectors extending col(A) to the full space.
 
     Greedy over e_1, e_2, ...: keep each unit vector that enlarges the
-    span.  Deterministic, which keeps normal-form runs reproducible.
-    Returns the chosen unit vectors (as column vectors).
+    span, i.e. the pivot columns of rref([A | Id]) past A.  Deterministic,
+    which keeps normal-form runs reproducible.  Returns the chosen unit
+    vectors (as column vectors).
     """
     n = len(A)
-    current: List[List[object]] = []
-    if A and A[0]:
-        current = [[A[i][j] for i in range(n)] for j in range(len(A[0]))]
-    rank = mat_rank(current, field) if current else 0
-    chosen: List[List[object]] = []
-    for j in range(n):
-        if rank == n:
-            break
-        e = [field.one if i == j else field.zero for i in range(n)]
-        r2 = mat_rank(current + [e], field)
-        if r2 > rank:
-            current.append(e)
-            chosen.append(e)
-            rank = r2
-    return chosen
+    m = len(A[0]) if n else 0
+    unit = mat_identity(n, field)
+    _, pivots = rref([list(A[i]) + unit[i] for i in range(n)], field)
+    return [unit[c - m] for c in pivots if c >= m]
 
 
 # -- extension fields ----------------------------------------------------------

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chains import ChainSpec, ParabolicShape
-from .chainnf import chain_normal_form, conjugated_chain_point, point_in_mu_chart
+from .chainnf import (
+    chain_normal_form,
+    conjugated_chain_point,
+    point_in_mu_chart,
+    random_frame,
+)
 from .characters import (
     character_data,
     kernel_is_torus_check,
@@ -26,7 +31,7 @@ from .characters import (
 )
 from .chart import ChartIdeal
 from .errors import NormalFormFailure
-from .gfq import SmallField, mat_inv
+from .gfq import SmallField
 from .ideals import PolyIdeal, dimension, saturate
 from .indexset import enumerate_index_set
 from .opencell import open_cell_factors_through_mu, open_cell_ratio_invariance
@@ -118,14 +123,6 @@ def check_open_cell(params: Dict, seed: int) -> Tuple[bool, Dict]:
     }
 
 
-def _random_invertible(rng: random.Random, n: int, q: int):
-    field = GF(q)
-    while True:
-        m = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        if mat_inv(m, field) is not None:
-            return m
-
-
 def check_chain_roundtrip(params: Dict, seed: int) -> Tuple[bool, Dict]:
     spec = ChainSpec(
         int(params["n"]), int(params["r"]), int(params["N"]), tuple(params["d"])
@@ -137,7 +134,7 @@ def check_chain_roundtrip(params: Dict, seed: int) -> Tuple[bool, Dict]:
     failures = 0
     for _ in range(trials):
         tau = rng.randrange(q)
-        frames = [_random_invertible(rng, spec.n, q) for _ in range(spec.N + 1)]
+        frames = [random_frame(rng, spec.n, q) for _ in range(spec.N + 1)]
         point = conjugated_chain_point(spec, frames, tau, field)
         try:
             chain_normal_form(spec, point, tau, field)

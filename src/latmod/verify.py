@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -236,9 +237,10 @@ def count_points_small_field(gens: Sequence[MultiPoly], sf: SmallField) -> int:
 
 
 def _compile(f: MultiPoly, sf: SmallField, slot: Dict[str, int], fixed: Dict[str, int]):
-    """f as a list of (coefficient, ((slot, exponent), ...)) over F_q, with
-    the fixed variables substituted, and the number of coordinates that
-    must be assigned before f can be evaluated."""
+    """f over F_q with the fixed variables substituted, as a list of
+    (coefficient, exponent of its last coordinate, ((slot, exponent), ...)
+    of the other coordinates), and the number of coordinates that must be
+    assigned before f can be evaluated (the last coordinate's slot + 1)."""
     p = sf.p
     terms = []
     for e, c in f.terms.items():
@@ -249,19 +251,20 @@ def _compile(f: MultiPoly, sf: SmallField, slot: Dict[str, int], fixed: Dict[str
             v = c.numerator * pow(den, p - 2, p) % p
         else:
             v = int(c) % p
-        factors = []
+        factors = {}
         for name, k in zip(f.ring.names, e):
             if not k:
                 continue
             if name in fixed:
                 v = sf.mul_t[v][sf.pow(fixed[name], k)]
             elif name in slot:
-                factors.append((slot[name], k))
+                factors[slot[name]] = k
             else:
                 raise ValueError(f"{name} is neither a coordinate nor fixed")
         if v:
-            terms.append((v, tuple(factors)))
-    return terms, max((i + 1 for _, fs in terms for i, _ in fs), default=0)
+            terms.append((v, factors))
+    last = max((i for _, fs in terms for i in fs), default=-1)
+    return [(v, fs.pop(last, 0), tuple(fs.items())) for v, fs in terms], last + 1
 
 
 def enumerate_points(gens, inverted, coords, sf: SmallField, fixed: Dict[str, int]):
@@ -271,42 +274,69 @@ def enumerate_points(gens, inverted, coords, sf: SmallField, fixed: Dict[str, in
     Depth-first assignment of the coordinates in the given order; each
     polynomial is tested as soon as its last coordinate is assigned, so a
     failing partial assignment is never extended.  Points come out in
-    lexicographic order.
+    lexicographic order.  At each node the checks that the next coordinate
+    completes are evaluated once, as coefficients of its powers; the q
+    values are tested against a coefficient tuple by table lookups, once
+    per distinct tuple.
     """
+    width = len(coords)
     slot = {name: i for i, name in enumerate(coords)}
-    checks: List[List[Tuple[list, bool]]] = [[] for _ in range(len(coords) + 1)]
+    # checks[d]: (terms, vanish) of the polynomials whose last coordinate is slot d - 1
+    checks: List[List[Tuple[list, bool]]] = [[] for _ in range(width + 1)]
     maxk = 1
     for polys, vanish in ((gens, True), (inverted, False)):
         for f in polys:
             terms, depth = _compile(f, sf, slot, fixed)
             checks[depth].append((terms, vanish))
-            maxk = max([maxk, *(k for _, fs in terms for _, k in fs)])
+            for _, k, rest in terms:
+                maxk = max(maxk, k, *(e for _, e in rest))
     add, mul = sf.add_t, sf.mul_t
-    powers = [[sf.pow(x, k) for k in range(maxk + 1)] for x in sf.elements()]
-    point = [0] * len(coords)
+    every = tuple(sf.elements())
+    powers = [[sf.pow(x, k) for k in range(maxk + 1)] for x in every]
+    point = [0] * width
 
-    def ok(depth: int) -> bool:
-        for terms, vanish in checks[depth]:
+    @lru_cache(maxsize=None)
+    def passes(key: tuple) -> Tuple[int, ...]:
+        """The x where sum c_k x^k passes, for key = (c_0, ..., c_maxk, vanish)."""
+        out = []
+        for x in every:
             acc = 0
-            for v, factors in terms:
-                for i, k in factors:
-                    v = mul[v][powers[point[i]][k]]
-                acc = add[acc][v]
-            if (acc == 0) != vanish:
-                return False
-        return True
+            for c, px in zip(key[:-1], powers[x]):
+                acc = add[acc][mul[c][px]]
+            if (acc == 0) == key[-1]:
+                out.append(x)
+        return tuple(out)
 
-    def rec(depth: int):
-        if depth == len(coords):
+    def values(depth: int) -> Sequence[int]:
+        """The values of slot depth - 1 that pass checks[depth]."""
+        cands = every
+        for terms, vanish in checks[depth]:
+            key = [0] * (maxk + 1) + [vanish]
+            for v, k, rest in terms:
+                for i, e in rest:
+                    v = mul[v][powers[point[i]][e]]
+                key[k] = add[key[k]][v]
+            ok = passes(tuple(key))
+            cands = ok if cands is every else [x for x in cands if x in ok]
+            if not cands:
+                break
+        return cands
+
+    if not values(0):
+        return
+    if not width:
+        yield ()
+    stack = [iter(values(1))] if width else []
+    while stack:
+        for x in stack[-1]:
+            depth = len(stack)
+            point[depth - 1] = x
+            if depth < width:
+                stack.append(iter(values(depth + 1)))
+                break
             yield tuple(point)
-            return
-        for x in range(sf.q):
-            point[depth] = x
-            if ok(depth + 1):
-                yield from rec(depth + 1)
-
-    if ok(0):
-        yield from rec(0)
+        else:
+            stack.pop()
 
 
 # -- independent combinatorial oracles ----------------------------------------------

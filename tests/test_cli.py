@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -71,6 +72,28 @@ def test_chain_normal_form_roundtrip(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["verified"] is True
     assert len(doc["psi"]) == 2
+
+
+@pytest.mark.parametrize(
+    "tau, digest",
+    [
+        ("0", "22ad1a0e631f737fd9451fc98c695043342178a7a79226480679d61f42f5d38b"),
+        ("2", "d28653769daf0eee72e65bae774d43e536cfe2ba5ed0f262354035220e024443"),
+    ],
+)
+def test_chain_normal_form_output_pinned(runner, tau, digest):
+    """The seeded frames, the point and psi are fixed by the seed: the
+    output's sha256 is pinned for a zero and a unit tau."""
+    res = runner.invoke(
+        main,
+        [
+            "chain", "normal-form",
+            "--n", "3", "--r", "1", "--N", "1", "--d", "1,2",
+            "--q", "5", "--tau", tau, "--seed", "7",
+        ],
+    )
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 def test_byte_identical_reruns(runner, tmp_path):

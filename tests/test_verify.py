@@ -169,15 +169,15 @@ def _value(f, point, sf):
     return acc
 
 
-def _brute_force_count(gens, names, sf, fixed):
-    """Points of F_q^names, with the fixed values added, where every
-    generator vanishes, found by trying every point."""
-    count = 0
+def _brute_force_points(gens, names, sf, fixed):
+    """Points of F_q^names in lexicographic order, with the fixed values
+    added, where every generator vanishes, found by trying every point."""
+    out = []
     for values in product(range(sf.q), repeat=len(names)):
         point = dict(zip(names, values), **fixed)
         if all(_value(g, point, sf) == 0 for g in gens):
-            count += 1
-    return count
+            out.append(values)
+    return out
 
 
 @st.composite
@@ -207,7 +207,9 @@ def test_count_points_small_field_matches_brute_force(p, k, data):
     names = ["x", "y", "z"][: data.draw(st.integers(1, 3 if sf.q <= 5 else 2))]
     R = PolyRing(QQ, names)
     gens = data.draw(st.lists(_polys(R, names, p), min_size=1, max_size=3))
-    assert count_points_small_field(gens, sf) == _brute_force_count(gens, names, sf, {})
+    points = _brute_force_points(gens, names, sf, {})
+    assert count_points_small_field(gens, sf) == len(points)
+    assert list(enumerate_points(gens, [], names, sf, {})) == points
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -227,8 +229,8 @@ def test_count_points_matches_brute_force_over_chart_and_inverses(q, data):
     chart = ChartIdeal(PolyIdeal(R, gens), "drawn", inverses=tuple(zip(aux, inverted)))
     rep = count_points(chart, q, tau)
     assert rep.coords == tuple(coords)
-    assert rep.count == _brute_force_count(
-        gens, coords + aux, SmallField(q, 1), {"t": tau % q}
+    assert rep.count == len(
+        _brute_force_points(gens, coords + aux, SmallField(q, 1), {"t": tau % q})
     )
 
 
