@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-from .chains import ChainSpec, shift_matrix_value
+from .chains import ChainSpec, ParabolicShape, shift_matrix_value
 from .errors import NormalFormFailure
 from .gfq import (
     column_space_complement,
@@ -57,18 +57,15 @@ def cyclic_products_ok(point, tau, field: Field) -> bool:
 
 def point_in_mu_chart(spec: ChainSpec, point, tau, field: Field) -> bool:
     """Membership in the chart locus: shape, products, and rank bounds."""
-    n = spec.n
     if len(point) != spec.N + 1:
         return False
-    for m in point:
-        for i in range(spec.r, n):
-            for j in range(spec.r):
-                if m[i][j]:
-                    return False
+    shape = ParabolicShape(spec.n, spec.r)
+    if not all(shape.in_shape_values(m) for m in point):
+        return False
     if not cyclic_products_ok(point, tau, field):
         return False
     for i, m in enumerate(point):
-        if mat_rank(m, field) < n - spec.step(i):
+        if mat_rank(m, field) < spec.n - spec.step(i):
             return False
     return True
 

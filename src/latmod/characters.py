@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Mapping, Sequence, Tuple
 
+from .chains import ParabolicShape
 from .chainnf import cyclic_products_ok
 from .gfq import mat_inv, mat_mul, mat_scale
 from .indexset import IndexElem, enumerate_index_set, pi_delta
@@ -194,14 +195,13 @@ def open_cell_point(
     n, r, N = data.n, data.r, data.N
     if len(g) != N + 1:
         raise ValueError(f"need {N + 1} group elements")
+    shape = ParabolicShape(n, r)
     ginv = []
     for idx, gi in enumerate(g):
         if len(gi) != n or any(len(row) != n for row in gi):
             raise ValueError("group element of wrong size")
-        for i in range(r, n):
-            for j in range(r):
-                if gi[i][j]:
-                    raise ValueError(f"g[{idx}] is not in the parabolic shape")
+        if not shape.in_shape_values(gi):
+            raise ValueError(f"g[{idx}] is not in the parabolic shape")
         inv = mat_inv(gi, field)
         if inv is None:
             raise ValueError(f"g[{idx}] is singular")
@@ -223,9 +223,6 @@ def open_cell_point(
     # verify the cyclic equations and the parabolic shape
     if not cyclic_products_ok(Pi, t, field):
         raise AssertionError("cyclic product equation failed")
-    for m in Pi:
-        for i in range(r, n):
-            for j in range(r):
-                if m[i][j]:
-                    raise AssertionError("output left the parabolic shape")
+    if not all(shape.in_shape_values(m) for m in Pi):
+        raise AssertionError("output left the parabolic shape")
     return Pi, t

@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import click
 
 from .chains import ChainSpec
 from .chainnf import chain_normal_form, conjugated_chain_point, random_frame
-from .characters import character_data, kernel_is_torus_check, quotient_by_subtorus_check
+from .characters import character_data
 from .chart import ChartIdeal
 from .errors import NormalFormFailure
 from .indexset import enumerate_index_set
@@ -250,25 +251,25 @@ def toric_chi(n, r, bign, out):
 @click.option("--N", "bign", type=int, required=True)
 @click.option("--out", type=str, default=None)
 def toric_check(n, r, bign, out):
-    data = character_data(n, r, bign)
-    cert = kernel_is_torus_check(data)
-    quot = quotient_by_subtorus_check(data)
+    params = {"n": n, "r": r, "N": bign}
+    kernel_ok, kernel = CHECKS["torus_kernel"](params, 0)
+    quotient_ok, quotient = CHECKS["quotient_subtorus"](params, 0)
     doc = json.dumps(
         {
             "n": n,
             "r": r,
             "N": bign,
-            "kernel_is_torus": cert.verdict,
-            "invariants": list(cert.invariants),
-            "quotient_check": quot.verdict,
-            "quotient_invariants": list(quot.invariants),
+            "kernel_is_torus": kernel_ok,
+            "invariants": kernel["invariants"],
+            "quotient_check": quotient_ok,
+            "quotient_invariants": quotient["invariants"],
         },
         indent=2,
         sort_keys=True,
     )
     _emit(doc, out)
-    click.echo(str(cert.verdict and quot.verdict).lower())
-    if not (cert.verdict and quot.verdict):
+    click.echo(str(kernel_ok and quotient_ok).lower())
+    if not (kernel_ok and quotient_ok):
         sys.exit(1)
 
 
@@ -309,31 +310,18 @@ def res_kill(infile, out):
 @click.option("--g", type=int, required=True)
 @click.option("--out", type=str, default=None)
 def res_fiber(g, out):
-    census = sigma_fiber_freecount(g)
-    doc = json.dumps(
-        {
+    ok, details = CHECKS["sigma_fiber"]({"g": g}, 0)
+    if out:
+        census = sigma_fiber_freecount(g)
+        doc = {
             "g": g,
             "free_count": census.free_count,
             "free_variables": list(census.free_variables),
-            "relation_log": [
-                {
-                    "family": e.family,
-                    "i": e.i,
-                    "j": e.j,
-                    "action": e.action,
-                    "variable": e.variable,
-                }
-                for e in census.log
-            ],
-        },
-        indent=2,
-        sort_keys=True,
-    )
-    if out:
-        _emit(doc, out)
-    click.echo(str(census.free_count))
-    expected = g * (3 * g - 1) // 2
-    if census.free_count != expected:
+            "relation_log": [asdict(e) for e in census.log],
+        }
+        _emit(json.dumps(doc, indent=2, sort_keys=True), out)
+    click.echo(str(details["free_count"]))
+    if not ok:
         sys.exit(1)
 
 

@@ -35,17 +35,15 @@ def _adjugate(M, ring: PolyRing):
     return out
 
 
-def _parabolic_inverse(g, ring: PolyRing, r: int, ua: MultiPoly, uc: MultiPoly):
+def _parabolic_inverse(g, ring: PolyRing, shape: ParabolicShape, ua: MultiPoly, uc: MultiPoly):
     """Inverse of a block upper-triangular matrix via adjugates.
 
     With g = [[A, B], [0, C]]:  g^{-1} = [[A^{-1}, -A^{-1} B C^{-1}],
     [0, C^{-1}]], and A^{-1} = adj(A) * ua, C^{-1} = adj(C) * uc where
     ua, uc are the auxiliary inverses of det A, det C.
     """
-    n = len(g)
-    A = [row[:r] for row in g[:r]]
-    B = [row[r:] for row in g[:r]]
-    C = [row[r:] for row in g[r:]]
+    n, r = shape.n, shape.r
+    A, B, C = shape.blocks(g)
     Ainv = polymat.map_entries(_adjugate(A, ring), lambda x: x * ua)
     Cinv = polymat.map_entries(_adjugate(C, ring), lambda x: x * uc)
     topright = polymat.map_entries(
@@ -90,8 +88,7 @@ class OpenCellSymbols:
         rels: List[MultiPoly] = []
         self.ginv = []
         for i in range(N + 1):
-            A = [row[:r] for row in self.g[i][:r]]
-            C = [row[r:] for row in self.g[i][r:]]
+            A, _, C = shape.blocks(self.g[i])
             detA = minors(A, r)[0]
             detC = minors(C, n - r)[0]
             ua = ring.var(f"ua{i}")
@@ -99,7 +96,7 @@ class OpenCellSymbols:
             rels.append(ua * detA - 1)
             rels.append(uc * detC - 1)
             rels.append(ring.var(f"uld{i}") * ring.var(f"ld{i}") - 1)
-            self.ginv.append(_parabolic_inverse(self.g[i], ring, r, ua, uc))
+            self.ginv.append(_parabolic_inverse(self.g[i], ring, shape, ua, uc))
         rels.append(ring.var("us") * ring.var("s") - 1)
         self.relations = PolyIdeal(ring, rels)
 

@@ -76,11 +76,6 @@ class Field:
     def one(self):
         return 1 if self.p else Fraction(1)
 
-    def nonzero_elements(self) -> List[int]:
-        if not self.p:
-            raise ValueError("QQ is not finite")
-        return list(range(1, self.p))
-
     def elements(self) -> List[int]:
         if not self.p:
             raise ValueError("QQ is not finite")

@@ -14,7 +14,7 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chains import ChainSpec, ParabolicShape
@@ -84,6 +84,7 @@ def check_sigma_fiber(params: Dict, seed: int) -> Tuple[bool, Dict]:
     ok = (
         census.free_count == expected
         and fam == {1: per_family, 2: per_family, 3: per_family}
+        and all(e.action in ("eliminated", "redundant") for e in census.log)
     )
     return ok, {
         "free_count": census.free_count,
@@ -496,13 +497,17 @@ def run_one(entry: Dict) -> CheckResult:
         raise ValueError(f"unknown check name {name!r}")
     t0 = time.monotonic()
     verdict, details = fn(params, seed)
-    ms = int((time.monotonic() - t0) * 1000)
+    return _result(entry, verdict, details, t0)
+
+
+def _result(entry: Dict, verdict: bool, details: Dict, t0: float) -> CheckResult:
+    """The row of one entry, timed from t0."""
     return CheckResult(
-        check=name,
-        spec=_spec_string(params),
+        check=entry["name"],
+        spec=_spec_string(entry.get("params", {})),
         verdict=bool(verdict),
         witness_digest=_digest(details),
-        runtime_ms=ms,
+        runtime_ms=int((time.monotonic() - t0) * 1000),
         details=details,
     )
 
@@ -514,23 +519,8 @@ def _run_entry_tuple(entry_json: str) -> Dict:
     try:
         result = run_one(entry)
     except Exception as exc:
-        details = {"error": f"{type(exc).__name__}: {exc}"}
-        result = CheckResult(
-            check=entry["name"],
-            spec=_spec_string(entry.get("params", {})),
-            verdict=False,
-            witness_digest=_digest(details),
-            runtime_ms=int((time.monotonic() - t0) * 1000),
-            details=details,
-        )
-    return {
-        "check": result.check,
-        "spec": result.spec,
-        "verdict": result.verdict,
-        "witness_digest": result.witness_digest,
-        "runtime_ms": result.runtime_ms,
-        "details": result.details,
-    }
+        result = _result(entry, False, {"error": f"{type(exc).__name__}: {exc}"}, t0)
+    return asdict(result)
 
 
 def run_suite(

@@ -29,9 +29,6 @@ class SmoothnessCertificate:
     witness_minors: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
     exhaustive: bool
 
-    def witness_digest(self) -> str:
-        return f"minors={list(self.witness_minors)};exhaustive={self.exhaustive}"
-
 
 def _minor_candidates(nrows: int, ncols: int, c: int, hints):
     seen = set()

@@ -1,194 +1,179 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail
-line and enforcing the stated tolerances and runtime budgets."""
+"""Acceptance suite: one test per criterion.  Each test takes its
+criterion's entries from ``default_config()``, asserts the exact spec set
+they cover, runs them through ``suite.run_one`` (the code that writes the
+report rows) and enforces the stated values and runtime budgets on the
+rows; it prints one pass/fail line."""
 
 import time
 
-from latmod.chains import ChainSpec
-from latmod.characters import (
-    character_data,
-    kernel_is_torus_check,
-    quotient_by_subtorus_check,
-)
-from latmod.opencell import open_cell_factors_through_mu, open_cell_ratio_invariance
-from latmod.resolution import diagonal_chart_ideals, sigma_fiber_freecount
-from latmod.schemes import (
-    apply_cyclic_shift,
-    apply_symplectic_involution,
-    mu_ideal,
-    local_model_ideal,
-)
-from latmod.suite import (
-    check_blowup_principal,
-    check_chain_census,
-    check_chain_roundtrip,
-    check_glued_count,
-    check_mu_dimension,
-    check_s_set_count,
-    torsion_test_corpus,
-)
-from latmod.verify import generic_fiber_smooth_check
-from latmod.ideals import saturate
+from latmod.schemes import apply_cyclic_shift, apply_symplectic_involution, mu_ideal
+from latmod.suite import CHECKS, default_config, run_one
+
+# criterion -> (title, the suite checks that decide it)
+CRITERIA = {
+    1: ("symplectic fiber census", ("sigma_fiber",)),
+    2: ("strong log-smoothness torus-kernel criterion", ("torus_kernel", "quotient_subtorus")),
+    3: ("open-cell factorization", ("open_cell",)),
+    4: ("chain normal form", ("chain_roundtrip", "chain_census")),
+    5: ("generic-fiber smoothness", ("generic_fiber_mu", "generic_fiber_lm")),
+    6: ("symmetry equivariance", ("shift_stability", "involution_stability")),
+    7: ("blowup and saturation semantics",
+        ("torsion_idempotent", "blowup_principal", "diagonal_identities")),
+    8: ("oracle cross-checks", ("s_set_count", "glued_count", "mu_dimension")),
+}
+
+MU_SPECS = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)]
+CHAIN_SPECS = [(2, 1, 1, (1, 1)), (3, 1, 1, (1, 2)), (3, 1, 1, (2, 1))]
 
 
-def _report(num, name, ok, elapsed):
-    print(f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'} [{elapsed:.1f}s]")
-    assert ok, f"criterion {num} ({name}) failed"
+def _entries(num):
+    return [e for e in default_config()["checks"] if e["name"] in CRITERIA[num][1]]
+
+
+def _specs(entries, name, *keys):
+    """Sorted parameter tuples of one check's entries (lists as tuples)."""
+    return sorted(
+        tuple(tuple(v) if isinstance(v, list) else v for v in map(e["params"].get, keys))
+        for e in entries if e["name"] == name
+    )
+
+
+def _report(num, ok, t0):
+    title = CRITERIA[num][0]
+    print(f"ACCEPTANCE {num} ({title}): {'PASS' if ok else 'FAIL'} "
+          f"[{time.monotonic() - t0:.1f}s]")
+    assert ok, f"criterion {num} ({title}) failed"
+
+
+def test_every_check_belongs_to_exactly_one_criterion():
+    names = [name for _, checks in CRITERIA.values() for name in checks]
+    assert len(names) == len(set(names))
+    assert set(names) == set(CHECKS)
+    assert set(names) == {e["name"] for e in default_config()["checks"]}
 
 
 def test_criterion_1_symplectic_fiber_census():
-    """Free-coordinate counts 1, 5, 12 with the three displayed relation
-    families consumed; < 5 s per genus."""
+    """Free-coordinate counts 1, 5, 12 for g = 1, 2, 3, with the three
+    displayed relation families consumed; < 5 s per genus."""
+    t0, entries = time.monotonic(), _entries(1)
+    assert _specs(entries, "sigma_fiber", "g") == [(1,), (2,), (3,)]
     ok = True
-    t_total = time.monotonic()
-    for g, expected in [(1, 1), (2, 5), (3, 12)]:
-        t0 = time.monotonic()
-        census = sigma_fiber_freecount(g)
-        elapsed = time.monotonic() - t0
-        per_family = g * (g + 1) // 2
-        ok = ok and census.free_count == expected
-        ok = ok and census.family_counts() == {
-            1: per_family,
-            2: per_family,
-            3: per_family,
-        }
-        # every relation is consumed: used for an elimination or
-        # verified redundant after the substitutions
-        ok = ok and all(e.action in ("eliminated", "redundant") for e in census.log)
-        ok = ok and elapsed < 5.0
-    _report(1, "symplectic fiber census", ok, time.monotonic() - t_total)
+    for e in entries:
+        g, row = e["params"]["g"], run_one(e)
+        ok = ok and row.verdict and row.runtime_ms < 5000
+        ok = ok and row.details["free_count"] == {1: 1, 2: 5, 3: 12}[g]
+        ok = ok and row.details["families"] == dict.fromkeys((1, 2, 3), g * (g + 1) // 2)
+    _report(1, ok, t0)
 
 
 def test_criterion_2_torus_kernel_criteria():
-    """Primitivity certificates for all 2 <= n <= 4, 1 <= r <= n-1,
-    1 <= N <= 2; < 30 s total."""
-    t0 = time.monotonic()
-    ok = True
-    for n in (2, 3, 4):
-        for r in range(1, n):
-            for N in (1, 2):
-                data = character_data(n, r, N)
-                c1 = kernel_is_torus_check(data)
-                c2 = quotient_by_subtorus_check(data)
-                ok = ok and c1.verdict and c2.verdict
-                ok = ok and all(d in (0, 1) for d in c1.invariants)
-    elapsed = time.monotonic() - t0
-    ok = ok and elapsed < 30.0
-    _report(2, "strong log-smoothness torus-kernel criterion", ok, elapsed)
+    """Primitivity certificates, of the kernel and of the quotient, for all
+    2 <= n <= 4, 1 <= r <= n-1, 1 <= N <= 2, with invariants in {0, 1};
+    < 30 s total."""
+    t0, entries = time.monotonic(), _entries(2)
+    specs = [(n, r, N) for n in (2, 3, 4) for r in range(1, n) for N in (1, 2)]
+    assert _specs(entries, "torus_kernel", "n", "r", "N") == specs
+    assert _specs(entries, "quotient_subtorus", "n", "r", "N") == specs
+    rows = [run_one(e) for e in entries]
+    ok = all(row.verdict and set(row.details["invariants"]) <= {0, 1} for row in rows)
+    _report(2, ok and sum(row.runtime_ms for row in rows) < 30000, t0)
 
 
 def test_criterion_3_open_cell_factorization():
     """Symbolic open-cell substitution kills every generator for
-    (n, N) in {(2,1), (2,2), (3,1)}, with ratio invariance; < 2 min."""
-    t0 = time.monotonic()
-    ok = True
-    for (n, N) in ((2, 1), (2, 2), (3, 1)):
-        for r in range(1, n):
-            ok = ok and open_cell_factors_through_mu(n, r, N)
-            ok = ok and open_cell_ratio_invariance(n, r, N)
-    elapsed = time.monotonic() - t0
-    ok = ok and elapsed < 120.0
-    _report(3, "open-cell factorization", ok, elapsed)
+    (n, N) in {(2,1), (2,2), (3,1)} and every r, with ratio invariance;
+    < 2 min."""
+    t0, entries = time.monotonic(), _entries(3)
+    assert _specs(entries, "open_cell", "n", "r", "N") == [
+        (2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1)]
+    rows = [run_one(e) for e in entries]
+    both = {"factors_through": True, "ratio_invariance": True}
+    ok = all(row.verdict and row.details == both for row in rows)
+    _report(3, ok and sum(row.runtime_ms for row in rows) < 120000, t0)
 
 
 def test_criterion_4_chain_normal_form():
-    """100 seeded round trips over F_5 and F_7 per chain spec, plus the
-    F_2 census of the chart locus (a pruned complete enumeration), with
-    zero failures."""
-    t0 = time.monotonic()
-    ok = True
-    for (n, r, N, d) in [(2, 1, 1, (1, 1)), (3, 1, 1, (1, 2)), (3, 1, 1, (2, 1))]:
-        params = {"n": n, "r": r, "N": N, "d": list(d)}
-        for q in (5, 7):
-            passed, details = check_chain_roundtrip(
-                dict(params, q=q, trials=100), 6007 + 13 * q + n + d[0]
-            )
-            ok = ok and passed and details["failures"] == 0
-        passed, details = check_chain_census(dict(params, q=2), 0)
-        ok = ok and passed and details["failures"] == 0
-    _report(4, "chain normal form", ok, time.monotonic() - t0)
+    """100 seeded round trips over F_5 and F_7 per chain spec, with the
+    report's seeds and with seeds 6007 + 13q + n + d[0], plus the census of
+    the chart locus (a pruned complete enumeration) over F_2 for each chain
+    spec and over F_3 for n = 2, with zero failures."""
+    t0, entries = time.monotonic(), _entries(4)
+    assert _specs(entries, "chain_roundtrip", "n", "r", "N", "d", "q", "trials") == [
+        c + (q, 100) for c in CHAIN_SPECS for q in (5, 7)]
+    assert _specs(entries, "chain_census", "n", "r", "N", "d", "q") == sorted(
+        [c + (2,) for c in CHAIN_SPECS] + [CHAIN_SPECS[0] + (3,)])
+    own_seeds = [
+        dict(e, seed=6007 + 13 * e["params"]["q"] + e["params"]["n"] + e["params"]["d"][0])
+        for e in entries if e["name"] == "chain_roundtrip"
+    ]
+    rows = [run_one(e) for e in entries + own_seeds]
+    _report(4, all(row.verdict and row.details["failures"] == 0 for row in rows), t0)
 
 
 def test_criterion_5_generic_fiber_smoothness():
-    """Jacobian certificates with t inverted for the cyclic-product
-    ideals and the chain-model charts, n <= 3, N <= 2; < 5 min total."""
-    t0 = time.monotonic()
-    ok = True
-    mu_specs = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
-    for (n, r, N) in mu_specs:
-        cert, _ = generic_fiber_smooth_check(mu_ideal(n, r, N))
-        ok = ok and cert.verdict
-    lm_specs = [
-        ChainSpec(2, 1, 1, (1, 1)),
-        ChainSpec(3, 1, 1, (1, 2)),
-        ChainSpec(3, 1, 1, (2, 1)),
-        ChainSpec(3, 2, 1, (1, 2)),
-        ChainSpec(3, 2, 1, (2, 1)),
-        ChainSpec(3, 1, 2, (1, 1, 1)),
-        ChainSpec(3, 2, 2, (1, 1, 1)),
-    ]
-    for spec in lm_specs:
-        cert, _ = generic_fiber_smooth_check(local_model_ideal(spec))
-        ok = ok and cert.verdict
-    elapsed = time.monotonic() - t0
-    ok = ok and elapsed < 300.0
-    _report(5, "generic-fiber smoothness", ok, elapsed)
+    """Jacobian certificates with t inverted for the cyclic-product ideals
+    (n <= 3, N <= 2) and seven chain-model charts; < 5 min total."""
+    t0, entries = time.monotonic(), _entries(5)
+    assert _specs(entries, "generic_fiber_mu", "n", "r", "N") == MU_SPECS
+    assert _specs(entries, "generic_fiber_lm", "n", "r", "N", "d") == sorted(CHAIN_SPECS + [
+        (3, 2, 1, (1, 2)), (3, 2, 1, (2, 1)), (3, 1, 2, (1, 1, 1)), (3, 2, 2, (1, 1, 1))])
+    rows = [run_one(e) for e in entries]
+    ok = all(row.verdict for row in rows)
+    _report(5, ok and sum(row.runtime_ms for row in rows) < 300000, t0)
 
 
 def test_criterion_6_symmetry_equivariance():
     """Reduced bases fixed by every cyclic shift (n <= 3, N <= 2) and by
-    the symplectic involution (g <= 2, N <= 2)."""
-    t0 = time.monotonic()
+    the symplectic involution (g <= 2, N <= 2): two bases computed
+    directly and compared, which also tests the kernel's determinism."""
+    t0, entries = time.monotonic(), _entries(6)
+    shifts = _specs(entries, "shift_stability", "n", "r", "N")
+    involutions = _specs(entries, "involution_stability", "g", "N")
+    assert shifts == MU_SPECS and involutions == [(1, 1), (1, 2), (2, 1), (2, 2)]
     ok = True
-    for (n, r, N) in [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]:
+    for (n, r, N) in shifts:
         mu = mu_ideal(n, r, N)
         base = mu.ideal.groebner_basis()
         for s in range(1, N + 1):
-            shifted = apply_cyclic_shift(mu, s)
-            ok = ok and shifted.ideal.groebner_basis() == base
-    for (g, N) in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+            ok = ok and apply_cyclic_shift(mu, s).ideal.groebner_basis() == base
+    for (g, N) in involutions:
         mu = mu_ideal(2 * g, g, N)
-        base = mu.ideal.groebner_basis()
-        inv = apply_symplectic_involution(mu)
-        ok = ok and inv.ideal.groebner_basis() == base
-    _report(6, "symmetry equivariance", ok, time.monotonic() - t0)
+        ok = ok and apply_symplectic_involution(mu).ideal.groebner_basis() == (
+            mu.ideal.groebner_basis())
+    _report(6, ok, t0)
 
 
 def test_criterion_7_blowup_saturation():
-    """Torsion-kill idempotence on the 20-ideal corpus, principal
-    pulled-back centers on the g = 2 tower, exact diagonal identities."""
-    t0 = time.monotonic()
-    ok = True
-    corpus = torsion_test_corpus()
-    ok = ok and len(corpus) == 20
-    for ideal in corpus:
-        t = ideal.ring.var("t")
-        once = saturate(ideal, t)
-        twice = saturate(once, t)
-        ok = ok and once.groebner_basis() == twice.groebner_basis()
-    passed, details = check_blowup_principal({"g": 2}, 0)
-    ok = ok and passed and details["nonempty_charts"] > 0
-    for g in (1, 2, 3):
-        data = diagonal_chart_ideals(g)
-        ok = ok and data.product_identities_hold()
-    _report(7, "blowup and saturation semantics", ok, time.monotonic() - t0)
+    """Torsion-kill idempotence and monotonicity on the 20-ideal corpus,
+    principal pulled-back centers on the g = 2 tower, exact diagonal
+    identities and principal minor ideals for g = 1, 2, 3."""
+    t0, entries = time.monotonic(), _entries(7)
+    assert _specs(entries, "torsion_idempotent") == [()]
+    assert _specs(entries, "blowup_principal", "g") == [(2,)]
+    assert _specs(entries, "diagonal_identities", "g") == [(1,), (2,), (3,)]
+    want = {
+        "torsion_idempotent": lambda d: d == {"corpus_size": 20},
+        "blowup_principal": lambda d: d["nonempty_charts"] > 0,
+        "diagonal_identities": lambda d: d == {
+            "product_identities": True, "minor_ideals_principal": True},
+    }
+    rows = [run_one(e) for e in entries]
+    _report(7, all(row.verdict and want[row.check](row.details) for row in rows), t0)
 
 
 def test_criterion_8_oracle_cross_checks():
-    """Index-set counts, glued vs direct point counts, and the dimension
-    of the basic cyclic-product ideal by two independent methods."""
+    """Index-set counts 7 and 16, glued vs direct point counts 5 and 7
+    over F_2 and F_3, and dimension 4 of the basic cyclic-product ideal,
+    each by two independent methods."""
     t0 = time.monotonic()
-    ok = True
-    # fast enumeration vs an exhaustive filter of the index-set constraints
-    for (n, r, N, expected) in [(2, 1, 1, 7), (3, 1, 1, 16)]:
-        passed, details = check_s_set_count(
-            {"n": n, "r": r, "N": N, "expected": expected}, 0
-        )
-        ok = ok and passed and details == {"count": expected, "oracle_count": expected}
-    for q, expected in [(2, 5), (3, 7)]:
-        passed, details = check_glued_count(
-            {"n": 2, "r": 1, "N": 1, "d": [1, 1], "q": q, "tau": 0, "expected": expected}, 0
-        )
-        ok = ok and passed and details == {"glued": expected, "direct": expected}
-    passed, details = check_mu_dimension({"n": 2, "r": 1, "N": 1, "expected": 4}, 0)
-    ok = ok and passed and details == {"groebner": 4, "growth_oracle": 4}
-    _report(8, "oracle cross-checks", ok, time.monotonic() - t0)
+    want = {
+        ("s_set_count", "N=1,expected=7,n=2,r=1"): {"count": 7, "oracle_count": 7},
+        ("s_set_count", "N=1,expected=16,n=3,r=1"): {"count": 16, "oracle_count": 16},
+        ("glued_count", "N=1,d=[1, 1],n=2,q=2,r=1,tau=0"): {"glued": 5, "direct": 5},
+        ("glued_count", "N=1,d=[1, 1],n=2,q=3,r=1,tau=0"): {"glued": 7, "direct": 7},
+        ("mu_dimension", "N=1,expected=4,n=2,r=1"): {"groebner": 4, "growth_oracle": 4},
+    }
+    rows = [run_one(e) for e in _entries(8)]
+    assert sorted((row.check, row.spec) for row in rows) == sorted(want)
+    _report(8, all(row.verdict and row.details == want[row.check, row.spec]
+                   for row in rows), t0)

@@ -96,6 +96,39 @@ def test_chain_normal_form_output_pinned(runner, tau, digest):
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, stdout_digest, out_digest, out_stdout",
+    [
+        (
+            ["res", "sigma-fiber", "--g", "2"],
+            "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06",
+            "31656256de1cff3d22c35342bc6c03f7d5b43808d039123ad9c316d584780a81",
+            "5\n",
+        ),
+        (
+            ["toric", "check-torus", "--n", "3", "--r", "1", "--N", "2"],
+            "58f24983f4c2102efe3bcef719a152c99fcccdf2fd555ef459d4d7880c968d48",
+            "fd3447f00f1754aca085a641ee12d26e8f6247b1c9c641b640774f5ff64fd132",
+            "true\n",
+        ),
+    ],
+)
+def test_certificate_commands_output_pinned(
+    runner, tmp_path, args, stdout_digest, out_digest, out_stdout
+):
+    """The sha256 of the stdout and of the --out document are pinned, so
+    that the commands' output does not depend on how the verdict is
+    reached."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == stdout_digest
+    out = tmp_path / "doc.json"
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 0
+    assert res.output == out_stdout
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+
+
 def test_byte_identical_reruns(runner, tmp_path):
     """Same inputs and seeds reproduce artifacts byte for byte."""
     outs = []
