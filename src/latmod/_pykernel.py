@@ -50,10 +50,6 @@ def normalize_mod(terms, p):
     return [(k, (c * inv) % p) for k, c in terms]
 
 
-def _sorted_terms(d):
-    return sorted(((k, c) for k, c in d.items() if c), reverse=True)
-
-
 def nf(f, basis, pk, p, index=None):
     """Full normal form of f modulo basis.
 
@@ -62,133 +58,136 @@ def nf(f, basis, pk, p, index=None):
     GF(p) the reduction is exact and num == den == 1.  ``index`` is a
     ``DivisorIndex`` over the leads of ``basis``, in order; one is built
     when it is not given.
+
+    ``work`` holds the unreduced terms, and each of its monomials has
+    exactly one heap entry: a cancelled monomial keeps coefficient 0 until
+    it is popped.  A reducer's products lie below the monomial it reduces,
+    so a popped monomial never comes back and the tail comes out in
+    descending order.  Over GF(p) the coefficients in ``work`` are reduced
+    only when popped.
     """
     if not f:
         return [], 1, 1
     if index is None:
         index = DivisorIndex(pk, [g[0][0] for g in basis])
     first_divisor = index.first
-    quotient = pk.quotient
-    mul = pk.mul
+    guard = pk.exp_guard_mask
+    pop = heapq.heappop
+    push = heapq.heappush
     work = {}
     for k, c in f:
         work[k] = work.get(k, 0) + c
     heap = [-k for k in work]
     heapq.heapify(heap)
-    tail = {}
+    tail = []
     num = 1
     den = 1
     while heap:
-        m = -heapq.heappop(heap)
-        c = work.pop(m, 0)
+        m = -pop(heap)
+        c = work.pop(m)
         if p:
             c %= p
-        if c == 0:
+        if not c:
             continue
         red = first_divisor(m)
         if red < 0:
-            tail[m] = tail.get(m, 0) + c
+            tail.append((m, c))
             continue
         g = basis[red]
         lm, lc = g[0]
-        q = quotient(m, lm)
-        if p:
-            factor = (c * pow(lc, p - 2, p)) % p
-            for j in range(1, len(g)):
-                k2, c2 = g[j]
-                kk = mul(q, k2)
-                old = work.get(kk, 0)
-                new = (old - factor * c2) % p
-                if new:
-                    if not old:
-                        heapq.heappush(heap, -kk)
-                    work[kk] = new
-                elif old:
-                    del work[kk]
-        else:
-            gg = gcd(c, lc)
-            a = lc // gg
-            b = c // gg
-            if a < 0:
-                a = -a
-                b = -b
-            if a != 1:
-                for k in work:
-                    work[k] *= a
-                for k in tail:
-                    tail[k] *= a
-                num *= a
-            for j in range(1, len(g)):
-                k2, c2 = g[j]
-                kk = mul(q, k2)
-                old = work.get(kk, 0)
-                new = old - b * c2
-                if new:
-                    if not old:
-                        heapq.heappush(heap, -kk)
-                    work[kk] = new
-                elif old:
-                    del work[kk]
-            # Keep integer growth in check.
-            if num.bit_length() > 512:
-                g2 = num
-                for v in work.values():
+        if lc != 1:
+            if p:
+                c = c * pow(lc, p - 2, p) % p
+            else:
+                gg = gcd(c, lc)
+                a = lc // gg
+                c //= gg
+                if a < 0:
+                    a = -a
+                    c = -c
+                if a != 1:
+                    for k in work:
+                        work[k] *= a
+                    tail = [(k, v * a) for k, v in tail]
+                    num *= a
+        # The product of m / lm with a term of key k2 has key d + k2; its
+        # overflow shows in the guard bits, tested once for all products.
+        d = m - lm
+        over = 0
+        for k2, c2 in g[1:]:
+            kk = d + k2
+            over |= kk
+            if kk in work:
+                work[kk] -= c * c2
+            else:
+                work[kk] = -c * c2
+                push(heap, -kk)
+        if over & guard:
+            raise OverflowError("monomial product exceeds the packing range")
+        # Keep integer growth in check.
+        if num != 1 and num.bit_length() > 512:
+            g2 = num
+            for v in work.values():
+                g2 = gcd(g2, v)
+                if g2 == 1:
+                    break
+            else:
+                for _, v in tail:
                     g2 = gcd(g2, v)
                     if g2 == 1:
                         break
-                else:
-                    for v in tail.values():
-                        g2 = gcd(g2, v)
-                        if g2 == 1:
-                            break
-                if g2 > 1:
-                    for k in work:
-                        work[k] //= g2
-                    for k in tail:
-                        tail[k] //= g2
-                    num //= g2
-    out = _sorted_terms(tail)
+            if g2 > 1:
+                for k in work:
+                    work[k] //= g2
+                tail = [(k, v // g2) for k, v in tail]
+                num //= g2
     if not p:
-        g3 = content(out)
+        g3 = content(tail)
         if g3 > 1:
             if num % g3 == 0:
                 num //= g3
             else:
                 den *= g3
-            out = [(k, c // g3) for k, c in out]
+            tail = [(k, c // g3) for k, c in tail]
         gg = gcd(num, den)
         num //= gg
         den //= gg
-    return out, num, den
+    return tail, num, den
 
 
 def spoly(f, g, pk, p):
-    """S-polynomial, primitive (char 0) or reduced mod p."""
+    """S-polynomial, primitive (char 0) or reduced mod p.
+
+    The two lead products cancel by construction and are skipped; the
+    others are ``L - lm + k`` for the lcm L of the leads.
+    """
     lmf, lcf = f[0]
     lmg, lcg = g[0]
     L = pk.lcm(lmf, lmg)
-    qf = pk.quotient(L, lmf)
-    qg = pk.quotient(L, lmg)
-    mul = pk.mul
-    acc = {}
+    df = L - lmf
+    dg = L - lmg
     if p:
-        for k, c in f:
-            kk = mul(qf, k)
-            acc[kk] = (acc.get(kk, 0) + lcg * c) % p
-        for k, c in g:
-            kk = mul(qg, k)
-            acc[kk] = (acc.get(kk, 0) - lcf * c) % p
-        return _sorted_terms(acc)
-    gg = gcd(lcf, lcg)
-    a = lcg // gg
-    b = lcf // gg
-    for k, c in f:
-        kk = mul(qf, k)
-        acc[kk] = acc.get(kk, 0) + a * c
-    for k, c in g:
-        kk = mul(qg, k)
+        a = lcg
+        b = lcf
+    else:
+        gg = gcd(lcf, lcg)
+        a = lcg // gg
+        b = lcf // gg
+    acc = {}
+    over = 0
+    for k, c in f[1:]:
+        kk = df + k
+        over |= kk
+        acc[kk] = a * c
+    for k, c in g[1:]:
+        kk = dg + k
+        over |= kk
         acc[kk] = acc.get(kk, 0) - b * c
-    return normalize_int(_sorted_terms(acc))
+    if over & pk.exp_guard_mask:
+        raise OverflowError("monomial product exceeds the packing range")
+    if p:
+        return sorted(((k, r) for k, c in acc.items() if (r := c % p)), reverse=True)
+    return normalize_int(sorted(((k, c) for k, c in acc.items() if c), reverse=True))
 
 
 def _update_pairs(pairs, G, lms, h_idx, pk):

@@ -42,9 +42,6 @@ class CharacterData:
     subtorus_relations: IntMatrix
     chi: Tuple[int, ...]
 
-    def position(self, e: IndexElem) -> int:
-        return self.S.index(e)
-
 
 def center_embedding_matrix(S: Sequence[IndexElem], N: int) -> IntMatrix:
     """Row for s: exponent 1 on the 0-th center coordinate, -|s|_beta on

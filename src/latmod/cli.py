@@ -338,17 +338,10 @@ def sym():
 @click.option("--N", "bign", type=int, required=True)
 @click.option("--s", type=int, default=None, help="single shift; default all")
 def sym_shift(n, r, bign, s):
-    from .suite import check_shift_stability
-
-    if s is None:
-        ok, details = check_shift_stability({"n": n, "r": r, "N": bign}, 0)
-    else:
-        from .schemes import apply_cyclic_shift
-
-        base = mu_ideal(n, r, bign)
-        shifted = apply_cyclic_shift(base, s)
-        ok = shifted.ideal.groebner_basis() == base.ideal.groebner_basis()
-        details = {"s": s}
+    params = {"n": n, "r": r, "N": bign}
+    if s is not None:
+        params["s"] = s
+    ok = CHECKS["shift_stability"](params, 0)[0]
     click.echo(str(bool(ok)).lower())
     if not ok:
         sys.exit(1)
@@ -358,9 +351,7 @@ def sym_shift(n, r, bign, s):
 @click.option("--g", type=int, required=True)
 @click.option("--N", "bign", type=int, required=True)
 def sym_involution(g, bign):
-    from .suite import check_involution_stability
-
-    ok, details = check_involution_stability({"g": g, "N": bign}, 0)
+    ok = CHECKS["involution_stability"]({"g": g, "N": bign}, 0)[0]
     click.echo(str(bool(ok)).lower())
     if not ok:
         sys.exit(1)

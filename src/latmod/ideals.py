@@ -43,9 +43,13 @@ def terms_to_poly(
     scale: Fraction = Fraction(1),
 ) -> MultiPoly:
     f = ring.field
+    unpack = pk.unpack
     if f.p:
-        return MultiPoly(ring, {pk.unpack(k): c % f.p for k, c in terms})
-    return MultiPoly(ring, {pk.unpack(k): Fraction(c) * scale for k, c in terms})
+        return MultiPoly(ring, {unpack(k): c % f.p for k, c in terms})
+    if scale == 1:
+        return MultiPoly(ring, {unpack(k): Fraction(c) for k, c in terms})
+    num, den = scale.numerator, scale.denominator
+    return MultiPoly(ring, {unpack(k): Fraction(c * num, den) for k, c in terms})
 
 
 class PolyIdeal:

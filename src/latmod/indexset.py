@@ -38,9 +38,6 @@ class IndexElem:
     def flat(self) -> Tuple[int, ...]:
         return tuple(x for p in self.pairs for x in p)
 
-    def satisfies(self, n: int, r: int) -> bool:
-        return self.total_mass() == n and self.first_mass() >= r
-
     def __str__(self) -> str:
         return "(" + ",".join(f"({a},{b})" for a, b in self.pairs) + ")"
 

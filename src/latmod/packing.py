@@ -36,6 +36,8 @@ value.
 
 from __future__ import annotations
 
+import struct
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 WIDTH = 16
@@ -68,6 +70,9 @@ class Packing:
         "flip",
         "nonzero_base",
         "deg_runs",
+        "_nbytes",
+        "_fields",
+        "_to_vars",
     )
 
     def __init__(self, nvars: int, order):
@@ -129,6 +134,15 @@ class Packing:
             run = sum(FIELD_MASK << (shifts[i] - low) for i in ix)
             runs.append((s, low, run, MAXE * len(ix)))
         self.deg_runs = tuple(runs)
+        # ``unpack`` reads every field of ``key ^ mul_offset`` (e per
+        # exponent field) in one struct call, lowest field first, skipping
+        # the degree fields as pad bytes, then puts them in variable order.
+        layout = sorted([(s, "H") for s in shifts] + [(s, "3x") for s, _ in deg_shifts])
+        self._nbytes = pos // 8
+        self._fields = struct.Struct("<" + "".join(f for _, f in layout)).unpack
+        fields = sorted(shifts)
+        perm = [fields.index(s) for s in shifts]
+        self._to_vars = None if perm == list(range(nvars)) else itemgetter(*perm)
 
     def pack(self, exps: Sequence[int]) -> int:
         if len(exps) != self.nvars:
@@ -149,9 +163,8 @@ class Packing:
         return key
 
     def unpack(self, key: int) -> Tuple[int, ...]:
-        if self.negated:
-            return tuple(MAXE - ((key >> s) & FIELD_MASK) for s in self.shifts)
-        return tuple((key >> s) & FIELD_MASK for s in self.shifts)
+        exps = self._fields((key ^ self.mul_offset).to_bytes(self._nbytes, "little"))
+        return exps if self._to_vars is None else self._to_vars(exps)
 
     def exponent(self, key: int, i: int) -> int:
         v = (key >> self.shifts[i]) & FIELD_MASK

@@ -18,12 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chains import ChainSpec, ParabolicShape
-from .chainnf import (
-    chain_normal_form,
-    conjugated_chain_point,
-    point_in_mu_chart,
-    random_frame,
-)
+from .chainnf import chain_normal_form, conjugated_chain_point, random_frame
 from .characters import (
     character_data,
     kernel_is_torus_check,
@@ -31,7 +26,7 @@ from .characters import (
 )
 from .chart import ChartIdeal
 from .errors import NormalFormFailure
-from .gfq import SmallField
+from .gfq import SmallField, mat_rank
 from .ideals import PolyIdeal, dimension, saturate
 from .indexset import enumerate_index_set
 from .opencell import open_cell_factors_through_mu, open_cell_ratio_invariance
@@ -146,11 +141,18 @@ def check_chain_roundtrip(params: Dict, seed: int) -> Tuple[bool, Dict]:
 
 def _mu_chart_points(spec: ChainSpec, q: int):
     """Chart-locus points (mats, tau) for every tau: the pruned enumeration
-    of mu over F_q with t = tau, kept where the rank bounds n - d_i hold."""
+    of mu over F_q with t = tau, kept where the rank bounds n - d_i hold.
+
+    The enumerated points are zeros of mu with t = tau, so their matrices
+    are in the parabolic shape and their cyclic products are tau * Id; of
+    ``chainnf.point_in_mu_chart`` only the rank bounds are left to test.  At
+    a unit tau those products make every matrix invertible, so every point
+    is kept."""
     mu = mu_ideal(spec.n, spec.r, spec.N)
     coords = [v for v in mu.ring.names if v != "t"]
     positions = ParabolicShape(spec.n, spec.r).positions()
     width = len(positions)
+    bounds = [spec.n - spec.step(i) for i in range(spec.N + 1)]
     field, sf = GF(q), SmallField(q, 1)
     for tau in range(q):
         for values in enumerate_points(mu.generators, [], coords, sf, {"t": tau}):
@@ -160,7 +162,7 @@ def _mu_chart_points(spec: ChainSpec, q: int):
                 for k, (a, b) in enumerate(positions):
                     m[a][b] = values[i * width + k]
                 mats.append(m)
-            if point_in_mu_chart(spec, mats, tau, field):
+            if tau or all(mat_rank(m, field) >= b for m, b in zip(mats, bounds)):
                 yield mats, tau
 
 
@@ -205,12 +207,14 @@ def check_generic_fiber_lm(params: Dict, seed: int) -> Tuple[bool, Dict]:
 
 
 def check_shift_stability(params: Dict, seed: int) -> Tuple[bool, Dict]:
+    """Every cyclic shift, or only the shift ``params["s"]`` when given,
+    fixes the generator set of mu and its reduced basis."""
     n, r, N = int(params["n"]), int(params["r"]), int(params["N"])
     mu = mu_ideal(n, r, N)
     base = mu.ideal.groebner_basis()
     all_equal = True
     set_cert = True
-    for s in range(1, N + 1):
+    for s in [int(params["s"])] if "s" in params else range(1, N + 1):
         shifted = apply_cyclic_shift(mu, s)
         set_cert = set_cert and generators_match_exactly(
             mu.generators, shifted.generators

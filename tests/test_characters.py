@@ -22,8 +22,8 @@ def test_center_embedding_rows():
     s1 = IndexElem(((0, 0), (2, 0)))
     s2 = IndexElem(((2, 0), (0, 0)))
     C = data.center_embedding
-    assert list(C.row(data.position(s1))) == [1, -2]
-    assert list(C.row(data.position(s2))) == [1, 0]
+    assert list(C.row(data.S.index(s1))) == [1, -2]
+    assert list(C.row(data.S.index(s2))) == [1, 0]
 
 
 def test_chi_vector_2_1_1():

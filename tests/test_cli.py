@@ -255,6 +255,28 @@ def test_sym_check_involution(runner):
     assert res.output.strip() == "true"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "check-shift --n 2 --r 1 --N 1",
+        "check-shift --n 2 --r 1 --N 1 --s 1",
+        "check-shift --n 3 --r 1 --N 2",
+        "check-shift --n 3 --r 1 --N 2 --s 2",
+        "check-shift --n 3 --r 2 --N 2 --s 3",
+        "check-involution --g 1 --N 1",
+        "check-involution --g 1 --N 2",
+    ],
+)
+def test_sym_commands_output_pinned(runner, args):
+    """The exit status and the sha256 of the stdout are pinned, with and
+    without a single shift --s (3 is 0 modulo N + 1)."""
+    res = runner.invoke(main, ["sym"] + args.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"
+    )
+
+
 def test_res_kill_torsion_pipeline(runner, tmp_path):
     src = tmp_path / "in.json"
     doc = {

@@ -127,11 +127,16 @@ def test_groebner_deterministic(ring):
     assert a == b
 
 
-@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("order", ["grevlex", "lex", ("block", 1)])
 def test_exponent_overflow_raises(ring, order):
-    """A product beyond the 16-bit exponent fields raises, never wraps."""
+    """A product beyond the 16-bit exponent fields raises, never wraps:
+    in a reduction, and in an S-polynomial, where the lcm of the leads
+    x^10000*y and x*y^30000 fits but y^29999 times the tail y^10001 does not."""
     x, y = ring.gens()
     I = PolyIdeal(ring, [x * y**30000 + y**30001], order=order)
     assert I.normal_form(x * y**32000) == -(y**32001)
     with pytest.raises(OverflowError):
         I.normal_form(x * y**32767)
+    J = PolyIdeal(ring, [x**10000 * y + y**10001, x * y**30000], order=order)
+    with pytest.raises(OverflowError):
+        J.groebner_basis()

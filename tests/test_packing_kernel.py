@@ -1,14 +1,18 @@
-"""Packed-key monomial operations, the divisor index, the kernel's pair
-update and its interreduction, each against a plain reference."""
+"""Packed-key monomial operations, the divisor index, the kernel's
+reduction, S-polynomials, pair update and interreduction, each against a
+plain reference."""
 
 import heapq
+import math
 import random
+from math import gcd
 
 import pytest
 
-from latmod.kernel import interreduce, nf
-from latmod._pykernel import _update_pairs
-from latmod.packing import CHUNK, MAXE, DivisorIndex, Packing
+from latmod import _pykernel
+from latmod.kernel import interreduce, nf, spoly
+from latmod._pykernel import _update_pairs, content, normalize_int
+from latmod.packing import CHUNK, FIELD_MASK, MAXE, DivisorIndex, Packing
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -44,6 +48,17 @@ def test_lcm_coprime_and_divides_match_exponent_tuples(case):
     assert pk.lcm(a, b) == pk.pack(tuple(map(max, ea, eb)))
     assert pk.coprime(a, b) == all(x == 0 or y == 0 for x, y in zip(ea, eb))
     assert pk.divides(a, b) == all(x <= y for x, y in zip(ea, eb))
+
+
+@settings(max_examples=400, deadline=None)
+@given(key_pairs())
+def test_unpack_matches_per_field_reference(case):
+    pk, ea, eb = case
+    for e in (ea, eb, (0,) * pk.nvars, (MAXE,) * pk.nvars):
+        key = pk.pack(e)
+        fields = tuple((key >> s) & FIELD_MASK for s in pk.shifts)
+        want = tuple(MAXE - v for v in fields) if pk.negated else fields
+        assert pk.unpack(key) == want == e
 
 
 # the variables summed by each degree field
@@ -193,6 +208,228 @@ def test_nf_with_persistent_index_equals_fresh_index(order, p, seed):
         for _ in range(4):
             f = poly(6, 5)
             assert nf(f, basis, pk, p, index) == nf(f, basis, pk, p)
+
+
+# -- reduction and S-polynomials against the earlier kernel ------------------------
+# reference_nf and reference_spoly are the kernel's earlier nf and spoly, kept
+# verbatim: they form every product with Packing.mul, test overflow per term and
+# delete cancelled monomials.  The kernel's must return exactly the same
+# triples and term lists.
+
+
+def _sorted_terms(d):
+    return sorted(((k, c) for k, c in d.items() if c), reverse=True)
+
+
+def reference_nf(f, basis, pk, p, index=None):
+    """Full normal form of f modulo basis.
+
+    Returns ``(terms, num, den)`` with the invariant
+    ``terms == exact_normal_form * num / den`` in characteristic 0; over
+    GF(p) the reduction is exact and num == den == 1.  ``index`` is a
+    ``DivisorIndex`` over the leads of ``basis``, in order; one is built
+    when it is not given.
+    """
+    if not f:
+        return [], 1, 1
+    if index is None:
+        index = DivisorIndex(pk, [g[0][0] for g in basis])
+    first_divisor = index.first
+    quotient = pk.quotient
+    mul = pk.mul
+    work = {}
+    for k, c in f:
+        work[k] = work.get(k, 0) + c
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    tail = {}
+    num = 1
+    den = 1
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if p:
+            c %= p
+        if c == 0:
+            continue
+        red = first_divisor(m)
+        if red < 0:
+            tail[m] = tail.get(m, 0) + c
+            continue
+        g = basis[red]
+        lm, lc = g[0]
+        q = quotient(m, lm)
+        if p:
+            factor = (c * pow(lc, p - 2, p)) % p
+            for j in range(1, len(g)):
+                k2, c2 = g[j]
+                kk = mul(q, k2)
+                old = work.get(kk, 0)
+                new = (old - factor * c2) % p
+                if new:
+                    if not old:
+                        heapq.heappush(heap, -kk)
+                    work[kk] = new
+                elif old:
+                    del work[kk]
+        else:
+            gg = gcd(c, lc)
+            a = lc // gg
+            b = c // gg
+            if a < 0:
+                a = -a
+                b = -b
+            if a != 1:
+                for k in work:
+                    work[k] *= a
+                for k in tail:
+                    tail[k] *= a
+                num *= a
+            for j in range(1, len(g)):
+                k2, c2 = g[j]
+                kk = mul(q, k2)
+                old = work.get(kk, 0)
+                new = old - b * c2
+                if new:
+                    if not old:
+                        heapq.heappush(heap, -kk)
+                    work[kk] = new
+                elif old:
+                    del work[kk]
+            # Keep integer growth in check.
+            if num.bit_length() > 512:
+                g2 = num
+                for v in work.values():
+                    g2 = gcd(g2, v)
+                    if g2 == 1:
+                        break
+                else:
+                    for v in tail.values():
+                        g2 = gcd(g2, v)
+                        if g2 == 1:
+                            break
+                if g2 > 1:
+                    for k in work:
+                        work[k] //= g2
+                    for k in tail:
+                        tail[k] //= g2
+                    num //= g2
+    out = _sorted_terms(tail)
+    if not p:
+        g3 = content(out)
+        if g3 > 1:
+            if num % g3 == 0:
+                num //= g3
+            else:
+                den *= g3
+            out = [(k, c // g3) for k, c in out]
+        gg = gcd(num, den)
+        num //= gg
+        den //= gg
+    return out, num, den
+
+
+def reference_spoly(f, g, pk, p):
+    """S-polynomial, primitive (char 0) or reduced mod p."""
+    lmf, lcf = f[0]
+    lmg, lcg = g[0]
+    L = pk.lcm(lmf, lmg)
+    qf = pk.quotient(L, lmf)
+    qg = pk.quotient(L, lmg)
+    mul = pk.mul
+    acc = {}
+    if p:
+        for k, c in f:
+            kk = mul(qf, k)
+            acc[kk] = (acc.get(kk, 0) + lcg * c) % p
+        for k, c in g:
+            kk = mul(qg, k)
+            acc[kk] = (acc.get(kk, 0) - lcf * c) % p
+        return _sorted_terms(acc)
+    gg = gcd(lcf, lcg)
+    a = lcg // gg
+    b = lcf // gg
+    for k, c in f:
+        kk = mul(qf, k)
+        acc[kk] = acc.get(kk, 0) + a * c
+    for k, c in g:
+        kk = mul(qg, k)
+        acc[kk] = acc.get(kk, 0) - b * c
+    return normalize_int(_sorted_terms(acc))
+
+
+def _random_poly(rng, pk, p, nterms, maxdeg, lead=None):
+    """Sorted kernel terms; over QQ the lead coefficient may be any nonzero
+    int, so the reduction's ``a != 1`` scaling runs."""
+    n = pk.nvars
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * n
+        for _ in range(rng.randrange(maxdeg + 1)):
+            e[rng.randrange(n)] += 1
+        terms[pk.pack(e)] = rng.randrange(1, p) if p else rng.choice([-6, -3, -1, 1, 2, 4, 5])
+    out = sorted(terms.items(), reverse=True)
+    if lead is not None:
+        out[0] = (out[0][0], lead)
+    return out
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("p", [0, 7, P])
+@pytest.mark.parametrize("seed", range(4))
+def test_nf_and_spoly_match_reference(order, p, seed):
+    rng = random.Random(seed)
+    pk = Packing(5, order)
+    leads = [1, -1, 2, -3, 6, 10] if not p else [1, 2, p - 1]
+    basis = [
+        _random_poly(rng, pk, p, rng.randrange(1, 5), 3, rng.choice(leads))
+        for _ in range(10)
+    ]
+    index = DivisorIndex(pk, [g[0][0] for g in basis])
+    for _ in range(15):
+        f = _random_poly(rng, pk, p, rng.randrange(1, 9), 5)
+        assert nf(f, basis, pk, p, index) == reference_nf(f, basis, pk, p)
+    for f in basis:
+        for g in basis:
+            s = spoly(f, g, pk, p)
+            assert s == reference_spoly(f, g, pk, p)
+            assert nf(s, basis, pk, p, index) == reference_nf(s, basis, pk, p)
+
+
+# x^9 + y^8 reduced by lc*y + c2*z scales by about lc at each step of the
+# chain y^8 -> y^7*z -> ... while x^9 waits in the tail; x reduced by A*x + y
+# and then by y ends in zero, where num is whatever the bound left of it.
+BIG = 1 << 600
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize(
+    "case",
+    [
+        # the bound's gcd divides the working terms and the tail down
+        ([((0, 1, 0), 3 << 510), ((0, 0, 1), 5 << 510)], [(9, 0, 0), (0, 8, 0)]),
+        # coprime: the gcd stays 1 and num stays above the bound
+        ([((0, 1, 0), (1 << 127) - 1), ((0, 0, 1), (1 << 89) - 1)], [(9, 0, 0), (0, 8, 0)]),
+        # the bound is met again at a step whose reducer has lead coefficient 1
+        ([((1, 0, 0), BIG + 1), ((0, 1, 0), 1)], [(1, 0, 0)]),
+    ],
+    ids=["gcd-divides", "gcd-one", "zero-remainder"],
+)
+def test_nf_numerator_past_512_bits_matches_reference(monkeypatch, order, case):
+    pk = Packing(3, order)
+    reducer, f = case
+    basis = [[(pk.pack(e), c) for e, c in reducer], [(pk.pack((0, 1, 0)), 1)]]
+    f = [(pk.pack(e), 1) for e in f]
+    bits = []
+
+    def spy(a, b):
+        bits.append(a.bit_length())
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(_pykernel, "gcd", spy)
+    got = nf(f, basis, pk, 0)
+    assert max(bits) > 512
+    assert got == reference_nf(f, basis, pk, 0)
 
 
 # -- pair update -------------------------------------------------------------------

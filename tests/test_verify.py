@@ -16,7 +16,7 @@ from latmod.ideals import PolyIdeal
 from latmod.intlinalg import IntMatrix, snf
 from latmod.poly import GF, MultiPoly, PolyRing, QQ
 from latmod.schemes import mu_ideal
-from latmod.suite import _mu_chart_points
+from latmod.suite import _mu_chart_points, default_config
 from latmod.verify import (
     chain_subspace_count,
     count_points,
@@ -298,6 +298,37 @@ def test_mu_chart_points_match_exhaustive_walk(spec, q):
         )
     }
     assert in_chart == {(_mats_key(m), tau) for m, tau in _mu_chart_points(spec, q)}
+
+
+def _census_specs():
+    for entry in default_config()["checks"]:
+        if entry["name"] == "chain_census":
+            p = entry["params"]
+            yield ChainSpec(p["n"], p["r"], p["N"], tuple(p["d"])), p["q"]
+
+
+@pytest.mark.parametrize("spec,q", list(_census_specs()))
+def test_mu_chart_points_equal_the_full_chart_test(spec, q):
+    """Testing the enumerated zeros of mu for the rank bounds alone keeps
+    exactly the points, in the same order, that the full chart test
+    (shape, cyclic products and rank bounds) keeps."""
+    mu = mu_ideal(spec.n, spec.r, spec.N)
+    coords = [v for v in mu.ring.names if v != "t"]
+    positions = ParabolicShape(spec.n, spec.r).positions()
+    width = len(positions)
+    field = GF(q)
+    want = []
+    for tau in range(q):
+        for values in enumerate_points(mu.generators, [], coords, SmallField(q, 1), {"t": tau}):
+            mats = []
+            for i in range(spec.N + 1):
+                m = [[0] * spec.n for _ in range(spec.n)]
+                for k, (a, b) in enumerate(positions):
+                    m[a][b] = values[i * width + k]
+                mats.append(m)
+            if point_in_mu_chart(spec, mats, tau, field):
+                want.append((mats, tau))
+    assert list(_mu_chart_points(spec, q)) == want
 
 
 def _gl_order(m, q):
