@@ -13,7 +13,7 @@ import heapq
 from math import gcd
 
 from .errors import ResourceLimitError
-from .packing import DivisorIndex
+from .packing import WIDTH, DivisorIndex
 
 KERNEL_KIND = "python"
 
@@ -193,43 +193,52 @@ def spoly(f, g, pk, p):
 def _update_pairs(pairs, G, lms, h_idx, pk):
     """Gebauer-Moeller pair update for the new basis element at h_idx.
 
-    Divisibility is ``Packing.divides`` inlined on pre-masked keys: with
-    ``v = (key & m) ^ flip``, b divides a iff ``((v_b | g) - v_a) & g == g``.
+    The criteria run on the exponent fields ``y = (key & m) ^ flip`` (M - e
+    per field): b divides a iff ``((y_b | g) - y_a) & g == g``, two lcm keys
+    are equal iff their fields are, and the fields of an lcm are the
+    per-field minimum.  Lcm keys are built only for the new pairs kept.
+    ``pairs`` is not modified.
     """
-    lmh = lms[h_idx]
-    lcm = pk.lcm
     g = pk.exp_guard_mask
     m = pk.exp_all_mask
     f = pk.flip
-    cand = [lcm(lms[i], lmh) for i in range(h_idx)]
+    lmh = lms[h_idx]
+    yh = (lmh & m) ^ f
+    xh = yh | g
+    # The fields of lcm(lm_i, lm_h), by the minimum step of Packing.lcm.
+    cand = []
+    for lm in lms[:h_idx]:
+        y = (lm & m) ^ f
+        t = (xh - y) & g
+        cand.append(yh ^ ((yh ^ y) & (t - (t >> (WIDTH - 1)))))
     # B criterion: drop old pairs whose lcm is strictly refined through h.
-    xh = ((lmh & m) ^ f) | g
     kept = [
         (L, i, j)
         for (L, i, j) in pairs
-        if (xh - ((L & m) ^ f)) & g != g or cand[i] == L or cand[j] == L
+        if (xh - (y := (L & m) ^ f)) & g != g or cand[i] == y or cand[j] == y
     ]
+    # F criterion: among equal lcms only the first candidate counts.  Zipped
+    # backwards, the lowest index of each lcm is the one written last.
+    first = dict(zip(reversed(cand), range(h_idx - 1, -1, -1)))
     # M criterion: drop candidates whose lcm is a proper multiple of another.
-    # A proper divisor is smaller in the order, so going up through the
-    # distinct lcms, each needs testing only against the minimal ones so far.
-    minimal = set()
+    # A proper divisor has fields >= and so a larger y: going down through
+    # the distinct y, each needs testing only against the minimal ones so far.
     xs = []
-    for L in sorted(set(cand)):
-        y = (L & m) ^ f
+    new = []
+    for y in sorted(first, reverse=True):
         for x in xs:
             if (x - y) & g == g:
                 break
         else:
             xs.append(y | g)
-            minimal.add(L)
-    # F criterion: among equal lcms keep the first candidate only, then
-    # Buchberger's coprimality criterion on that one.
+            new.append(first[y])
+    # Buchberger's coprimality criterion on the pairs left.
+    new.sort()
+    lcm = pk.lcm
     coprime = pk.coprime
-    for i, L in enumerate(cand):
-        if L in minimal:
-            minimal.discard(L)
-            if not coprime(lms[i], lmh):
-                kept.append((L, i, h_idx))
+    for i in new:
+        if not coprime(lms[i], lmh):
+            kept.append((lcm(lms[i], lmh), i, h_idx))
     return kept
 
 
@@ -276,7 +285,7 @@ def buchberger(gens, pk, p, pair_limit=100000):
         G.append(r)
         lms.append(r[0][0])
         index.append(r[0][0])
-        heap = _update_pairs(list(heap), G, lms, len(G) - 1, pk)
+        heap = _update_pairs(heap, G, lms, len(G) - 1, pk)
         heapq.heapify(heap)
     return interreduce(G, pk, p)
 

@@ -410,7 +410,24 @@ CHECKS: Dict[str, Callable[[Dict, int], Tuple[bool, Dict]]] = {
 
 
 def default_config() -> Dict:
-    """The full acceptance sweep."""
+    """The full acceptance sweep, heaviest checks first.
+
+    The entries that took over 100 ms in a serial run come first, longest
+    first; the rest keep the order of the loops below.
+    """
+    # run_suite(jobs > 1) hands the entries to its workers in this order:
+    # started last, a long check would leave the other workers idle while
+    # it finishes alone.  The report is sorted by (check, spec), so the
+    # order changes nothing else.
+    heavy = [
+        {"name": "involution_stability", "params": {"g": 2, "N": 2}},
+        {"name": "blowup_principal", "params": {"g": 2}},
+        {"name": "generic_fiber_mu", "params": {"n": 3, "r": 2, "N": 2}},
+        {"name": "generic_fiber_mu", "params": {"n": 3, "r": 1, "N": 2}},
+        {"name": "involution_stability", "params": {"g": 2, "N": 1}},
+        {"name": "shift_stability", "params": {"n": 3, "r": 1, "N": 2}},
+        {"name": "shift_stability", "params": {"n": 3, "r": 2, "N": 2}},
+    ]
     checks: List[Dict] = []
     for g in (1, 2, 3):
         checks.append({"name": "sigma_fiber", "params": {"g": g}})
@@ -485,7 +502,7 @@ def default_config() -> Dict:
     checks.append(
         {"name": "mu_dimension", "params": {"n": 2, "r": 1, "N": 1, "expected": 4}}
     )
-    return {"checks": checks}
+    return {"checks": heavy + [c for c in checks if c not in heavy]}
 
 
 def _spec_string(params: Dict) -> str:

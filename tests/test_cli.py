@@ -229,6 +229,30 @@ def test_crashing_check_becomes_failed_row(monkeypatch):
     assert ok["check"] == "s_set_count" and ok["verdict"] is True
 
 
+def test_parallel_report_equals_serial():
+    """run_suite(jobs=2) gives the serial report, a crashing check included."""
+    from latmod import suite
+
+    config = {
+        "checks": [
+            {"name": "sigma_fiber", "params": {"g": 0}},
+            {"name": "torus_kernel", "params": {"n": 2, "r": 1, "N": 1}},
+            {
+                "name": "chain_roundtrip",
+                "params": {"n": 2, "r": 1, "N": 1, "d": [1, 1], "q": 5, "trials": 20},
+                "seed": 3,
+            },
+            {"name": "s_set_count", "params": {"n": 2, "r": 1, "N": 1, "expected": 7}},
+            {"name": "open_cell", "params": {"n": 2, "r": 1, "N": 1}},
+        ]
+    }
+    serial = suite.run_suite(config, jobs=1, with_timestamp=False)
+    assert (serial["total"], serial["failures"]) == (5, 1)
+    crashed = next(r for r in serial["results"] if r["check"] == "sigma_fiber")
+    assert crashed["details"] == {"error": "ValueError: need g >= 1"}
+    assert suite.run_suite(config, jobs=2, with_timestamp=False) == serial
+
+
 def test_verify_empty_config_passes(runner, tmp_path):
     cfg = tmp_path / "empty.json"
     cfg.write_text(json.dumps({"checks": []}))

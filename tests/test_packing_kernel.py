@@ -468,27 +468,51 @@ def reference_update_pairs(pairs, G, lms, h_idx, pk):
     return kept
 
 
+def pair_update_leads(rng, n):
+    """Lists of 40 lead exponent tuples: small exponents, then the edges of
+    the packed representation."""
+    small = (0, 0, 1, 1, 2, 3)
+    near = (MAXE - 2, MAXE - 1, MAXE)
+    yield [tuple(rng.choice(small) for _ in range(n)) for _ in range(40)]
+
+    # Half of the leads with one field near MAXE among small ones: a borrow
+    # between fields in the per-field minimum would show.
+    def one_near():
+        e = [rng.choice(small) for _ in range(n)]
+        if rng.random() < 0.5:
+            e[rng.randrange(n)] = rng.choice(near)
+        return tuple(e)
+
+    yield [one_near() for _ in range(40)]
+    # Several fields near MAXE: lcm degrees of 65535 and more, where
+    # Packing.lcm takes its fallback.
+    yield [tuple(rng.choice((0, 1) + near) for _ in range(n)) for _ in range(40)]
+    # Repeated leads and equal lcms, for the F criterion.
+    pool = [tuple(rng.choice((0, 1)) for _ in range(n)) for _ in range(6)]
+    yield [rng.choice(pool) for _ in range(40)]
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("seed", range(6))
 def test_update_pairs_matches_quadratic_reference(order, seed):
     rng = random.Random(seed)
     n = rng.choice([4, 5, 6])
     pk = Packing(n, order)
-    lms = [
-        pk.pack(tuple(rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(n)))
-        for _ in range(40)
-    ]
-    G = [None] * len(lms)
-    heap = []
-    for h in range(len(lms)):
-        # as in buchberger: the queue as a heap-ordered list, some pairs popped
-        got = _update_pairs(list(heap), G, lms, h, pk)
-        assert got == reference_update_pairs(list(heap), G, lms, h, pk)
-        heap = got
-        heapq.heapify(heap)
-        for _ in range(rng.randrange(3)):
-            if heap:
-                heapq.heappop(heap)
+    for exps in pair_update_leads(rng, n):
+        lms = [pk.pack(e) for e in exps]
+        G = [None] * len(lms)
+        heap = []
+        for h in range(len(lms)):
+            # as in buchberger: the queue as a heap-ordered list, some pairs popped
+            pairs = list(heap)
+            got = _update_pairs(heap, G, lms, h, pk)
+            assert heap == pairs
+            assert got == reference_update_pairs(pairs, G, lms, h, pk)
+            heap = got
+            heapq.heapify(heap)
+            for _ in range(rng.randrange(3)):
+                if heap:
+                    heapq.heappop(heap)
 
 
 # -- interreduce -------------------------------------------------------------------
