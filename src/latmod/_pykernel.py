@@ -242,7 +242,7 @@ def _update_pairs(pairs, G, lms, h_idx, pk):
     return kept
 
 
-def buchberger(gens, pk, p, pair_limit=100000):
+def buchberger(gens, pk, p, pair_limit):
     """Reduced Groebner basis of the ideal spanned by ``gens``.
 
     Normal selection strategy (smallest lcm first) with the
@@ -264,10 +264,9 @@ def buchberger(gens, pk, p, pair_limit=100000):
     G = uniq
     lms = [g[0][0] for g in G]
     index = DivisorIndex(pk, lms)
-    pairs = []
+    heap = []
     for i in range(len(G)):
-        pairs = _update_pairs(pairs, G, lms, i, pk)
-    heap = list(pairs)
+        heap = _update_pairs(heap, G, lms, i, pk)
     heapq.heapify(heap)
     while heap:
         if len(heap) > pair_limit:

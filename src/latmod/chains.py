@@ -59,7 +59,7 @@ class ChainSpec:
         return self.d[-1] if i == 0 else self.d[i - 1]
 
 
-def shift_matrix_power(n: int, m: int, ring: PolyRing, tname: str = "t"):
+def shift_matrix_power(n: int, m: int, ring: PolyRing):
     """Exact m-th power of the shift matrix, entries monomials in t.
 
     T e_j = e_{j-1} for j >= 2 and T e_1 = t e_n, so T^m (for m = q*n + s)
@@ -68,7 +68,7 @@ def shift_matrix_power(n: int, m: int, ring: PolyRing, tname: str = "t"):
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
-    t = ring.var(tname)
+    t = ring.var("t")
     q, s = divmod(m, n)
     tq = t**q
     out = polymat.zeros(ring, n, n)

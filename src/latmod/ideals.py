@@ -2,8 +2,8 @@
 
 A PolyIdeal pairs a generator list with a monomial order tag and caches
 its reduced Groebner basis in the packed kernel representation.  All
-operations are exact; the only failure mode is the configurable
-pair-queue resource guard.
+operations are exact; the only failure mode is the pair-queue resource
+guard, whose cap ``pair_limit`` each ideal carries into its saturations.
 """
 
 from __future__ import annotations
@@ -21,19 +21,26 @@ DEFAULT_PAIR_LIMIT = 100_000
 Order = object  # "grevlex" | "lex" | ("block", k)
 
 
-def poly_to_terms(f: MultiPoly, pk: Packing) -> List[Tuple[int, int]]:
-    """Packed integer terms of f; over QQ denominators are cleared."""
+def _scaled_terms(f: MultiPoly, pk: Packing) -> Tuple[List[Tuple[int, int]], int]:
+    """Packed integer terms of f, sorted descending, and the factor ``den``
+    they carry: over QQ the terms are f * den with den the lcm of the
+    denominators; over GF(p) they are reduced residues and den is 1."""
     p = f.ring.field.p
+    den = 1
     if p:
         terms = [(pk.pack(e), int(c) % p) for e, c in f.terms.items()]
     else:
-        den = 1
         for c in f.terms.values():
             den = lcm(den, Fraction(c).denominator)
         terms = [(pk.pack(e), int(c * den)) for e, c in f.terms.items()]
     terms = [(k, c) for k, c in terms if c]
     terms.sort(reverse=True)
-    return terms
+    return terms, den
+
+
+def poly_to_terms(f: MultiPoly, pk: Packing) -> List[Tuple[int, int]]:
+    """Packed integer terms of f; over QQ denominators are cleared."""
+    return _scaled_terms(f, pk)[0]
 
 
 def terms_to_poly(
@@ -100,31 +107,18 @@ class PolyIdeal:
     def groebner_basis(self) -> List[MultiPoly]:
         """Reduced, monic Groebner basis."""
         pk = self.packing
-        out = []
-        for g in self.kernel_basis():
-            if self.ring.field.p:
-                out.append(terms_to_poly(g, self.ring, pk))
-            else:
-                out.append(terms_to_poly(g, self.ring, pk, Fraction(1, g[0][1])))
-        return out
+        return [
+            terms_to_poly(g, self.ring, pk, Fraction(1, g[0][1]))
+            for g in self.kernel_basis()
+        ]
 
     def normal_form(self, f: MultiPoly) -> MultiPoly:
         """Exact remainder of f modulo the reduced basis."""
         if f.ring != self.ring:
             raise ValueError("ring mismatch")
         pk = self.packing
-        p = self.ring.field.p
-        basis = self.kernel_basis()
-        if p:
-            terms = poly_to_terms(f, pk)
-            r, _, _ = kernel.nf(terms, basis, pk, p)
-            return terms_to_poly(r, self.ring, pk)
-        den = 1
-        for c in f.terms.values():
-            den = lcm(den, Fraction(c).denominator)
-        terms = [(pk.pack(e), int(c * den)) for e, c in f.terms.items()]
-        terms.sort(reverse=True)
-        r, num, dnm = kernel.nf(terms, basis, pk, 0)
+        terms, den = _scaled_terms(f, pk)
+        r, num, dnm = kernel.nf(terms, self.kernel_basis(), pk, self.ring.field.p)
         return terms_to_poly(r, self.ring, pk, Fraction(dnm, num * den))
 
     def contains(self, f: MultiPoly) -> bool:
@@ -222,8 +216,10 @@ def _fresh_name(ring: PolyRing, base: str) -> str:
     return f"{base}{i}"
 
 
-def saturate(I: PolyIdeal, f: MultiPoly, pair_limit: Optional[int] = None) -> PolyIdeal:
-    """Saturation (I : f^infinity) via the inverse-variable elimination trick."""
+def saturate(I: PolyIdeal, f: MultiPoly) -> PolyIdeal:
+    """Saturation (I : f^infinity) via the inverse-variable elimination trick.
+
+    The elimination basis and the result keep I's pair cap."""
     if f.ring != I.ring:
         raise ValueError("ring mismatch")
     ring = I.ring
@@ -231,8 +227,7 @@ def saturate(I: PolyIdeal, f: MultiPoly, pair_limit: Optional[int] = None) -> Po
     ext = PolyRing(ring.field, (aux,) + ring.names)
     gens = [g.map_ring(ext) for g in I.generators]
     gens.append(ext.var(aux) * f.map_ring(ext) - ext.one)
-    limit = pair_limit if pair_limit is not None else I.pair_limit
-    J = PolyIdeal(ext, gens, ("block", 1), limit)
+    J = PolyIdeal(ext, gens, ("block", 1), I.pair_limit)
     contracted = []
     for g in J.groebner_basis():
         if g.degree_in(aux) <= 0:

@@ -16,7 +16,7 @@ from typing import Dict, List
 from . import polymat
 from .chains import ParabolicShape
 from .ideals import PolyIdeal, minors
-from .poly import Field, MultiPoly, PolyRing, QQ
+from .poly import MultiPoly, PolyRing, QQ
 from .schemes import mu_ideal
 
 
@@ -64,7 +64,7 @@ def _parabolic_inverse(g, ring: PolyRing, shape: ParabolicShape, ua: MultiPoly, 
 class OpenCellSymbols:
     """Symbolic open-cell data for (n, r, N) plus the relation ideal."""
 
-    def __init__(self, n: int, r: int, N: int, field: Field = QQ):
+    def __init__(self, n: int, r: int, N: int):
         self.n, self.r, self.N = n, r, N
         shape = ParabolicShape(n, r)
         names: List[str] = []
@@ -76,7 +76,7 @@ class OpenCellSymbols:
         for i in range(N + 1):
             names.extend([f"ua{i}", f"uc{i}", f"uld{i}"])
         names.extend(["s", "us"])  # spare unit for the rescaling check
-        self.ring = PolyRing(field, names)
+        self.ring = PolyRing(QQ, names)
         ring = self.ring
         self.shape = shape
         self.g = []

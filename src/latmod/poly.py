@@ -34,10 +34,6 @@ class Field:
             cls._cache[p] = f
         return f
 
-    @property
-    def char(self) -> int:
-        return self.p
-
     def coerce(self, x):
         if self.p:
             if isinstance(x, Fraction):

@@ -10,12 +10,12 @@ stated order leaves g(3g-1)/2 free coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import polymat
 from .chart import ChartIdeal
-from .ideals import PolyIdeal, minors, saturate
-from .poly import Field, MultiPoly, PolyRing, QQ
+from .ideals import PolyIdeal, ideal_contains_one, minors, saturate
+from .poly import MultiPoly, PolyRing, QQ
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,12 @@ def blowup_chart(
     base: ChartIdeal,
     center: Sequence[MultiPoly],
     k: int,
-    pair_limit: Optional[int] = None,
 ) -> BlowupChart:
     """k-th standard chart of the blowup of V(base) along ``center``.
 
     Adds ratio variables u_j with relations f_j - u_j f_k (j != k), then
-    saturates by f_k.  A unit result flags an empty chart (reported, not
-    an error).
+    saturates by f_k under the pair cap of ``base.ideal``.  A unit result
+    flags an empty chart (reported, not an error).
     """
     center = list(center)
     if not 0 <= k < len(center):
@@ -87,12 +86,8 @@ def blowup_chart(
         if j == k:
             continue
         gens.append(f.map_ring(ext) - ext.var(ratio_names[j]) * fk)
-    raw = PolyIdeal(ext, gens)
-    if pair_limit is not None:
-        raw = PolyIdeal(ext, gens, pair_limit=pair_limit)
+    raw = PolyIdeal(ext, gens, pair_limit=base.ideal.pair_limit)
     saturated = saturate(raw, fk)
-    from .ideals import ideal_contains_one
-
     empty = ideal_contains_one(saturated)
     chart = ChartIdeal(
         ideal=saturated,
@@ -190,11 +185,11 @@ class DiagonalChartData:
         return True
 
 
-def diagonal_chart_ideals(g: int, field: Field = QQ) -> DiagonalChartData:
+def diagonal_chart_ideals(g: int) -> DiagonalChartData:
     if g < 1:
         raise ValueError("need g >= 1")
     names = [f"a{i}" for i in range(g + 1)] + ["t"]
-    ring = PolyRing(field, names)
+    ring = PolyRing(QQ, names)
     avars = [ring.var(f"a{i}") for i in range(g + 1)]
     A = []
     for i in range(g):
@@ -344,7 +339,7 @@ def _eliminate(
     return subs, log
 
 
-def sigma_fiber_freecount(g: int, field: Field = QQ) -> FiberCensus:
+def sigma_fiber_freecount(g: int) -> FiberCensus:
     """Free-coordinate census of the pairing unknowns over the diagonal chart.
 
     Builds the three torsion-killed relation families in the unknowns
@@ -357,7 +352,7 @@ def sigma_fiber_freecount(g: int, field: Field = QQ) -> FiberCensus:
     if g < 1:
         raise ValueError("need g >= 1")
     names = [f"a{i}" for i in range(g + 1)]
-    ring = PolyRing(field, names + _pairing_unknowns(g))
+    ring = PolyRing(QQ, names + _pairing_unknowns(g))
     rels = _pairing_relations(ring, g)
     subs, log = _eliminate(ring, rels)
     # flatten substitutions and re-verify every relation reduces to zero

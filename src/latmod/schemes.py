@@ -79,7 +79,7 @@ def mu_ideal(n: int, r: int, N: int, field: Field = QQ) -> ChartIdeal:
     )
 
 
-def faltings_mu_ideal(r: int, N: int, field: Field = QQ) -> ChartIdeal:
+def faltings_mu_ideal(r: int, N: int) -> ChartIdeal:
     """Full-matrix variant: N+1 unconstrained r x r matrices, parameter t."""
     if r < 1:
         raise ValueError("need r >= 1")
@@ -89,7 +89,7 @@ def faltings_mu_ideal(r: int, N: int, field: Field = QQ) -> ChartIdeal:
             for b in range(r):
                 names.append(f"A{i}_{a + 1}_{b + 1}")
     names.append("t")
-    ring = PolyRing(field, names)
+    ring = PolyRing(QQ, names)
     mats = []
     for i in range(N + 1):
         mats.append(
@@ -123,7 +123,6 @@ def default_minor_choices(spec: ChainSpec) -> List[Tuple[Tuple[int, ...], Tuple[
 def mu_chart_ideal(
     spec: ChainSpec,
     minor_choices: Optional[Sequence[Tuple[Sequence[int], Sequence[int]]]] = None,
-    field: Field = QQ,
 ) -> ChartIdeal:
     """Distinguished-minor chart of the cyclic product scheme.
 
@@ -132,7 +131,7 @@ def mu_chart_ideal(
     t itself is never inverted here.
     """
     n, r, N = spec.n, spec.r, spec.N
-    base = mu_ideal(n, r, N, field)
+    base = mu_ideal(n, r, N)
     if minor_choices is None:
         minor_choices = default_minor_choices(spec)
     if len(minor_choices) != N + 1:
@@ -210,7 +209,6 @@ def _validate_pivots(spec: ChainSpec, pivots) -> List[Tuple[int, ...]]:
 def local_model_ideal(
     spec: ChainSpec,
     pivots: Optional[Sequence[Sequence[int]]] = None,
-    field: Field = QQ,
 ) -> ChartIdeal:
     """Grassmannian-chart ideal of the chain model.
 
@@ -229,7 +227,7 @@ def local_model_ideal(
             for k in range(r):
                 names.append(f"w{i}_{a + 1}_{k + 1}")
     names.append("t")
-    ring = PolyRing(field, names)
+    ring = PolyRing(QQ, names)
     frames = _frames(ring, spec, pivots)
     gens: List[MultiPoly] = []
     for i in range(N + 1):
@@ -327,7 +325,6 @@ def symplectic_gram_matrices(g: int, ring: PolyRing) -> SymplecticData:
 def symplectic_local_model_ideal(
     spec: ChainSpec,
     pivots: Optional[Sequence[Sequence[int]]] = None,
-    field: Field = QQ,
 ) -> ChartIdeal:
     """Chain model plus total isotropy of the end frames.
 
@@ -336,7 +333,7 @@ def symplectic_local_model_ideal(
     """
     if not spec.symplectic:
         raise ValueError("spec is not symplectic")
-    base = local_model_ideal(spec, pivots, field)
+    base = local_model_ideal(spec, pivots)
     ring = base.ring
     g = spec.n // 2
     sdata = symplectic_gram_matrices(g, ring)
@@ -469,7 +466,8 @@ def involution_permutation(N: int) -> List[int]:
 def apply_symplectic_involution(chart: ChartIdeal) -> ChartIdeal:
     """Substitute Pi_i -> J^{-1} Pi_{sigma(i)}^t J on the symplectic shape.
 
-    The conjugation swaps the diagonal blocks through the antidiagonal
+    J^{-1} = -J, because J^2 = -Id when Delta is an involution.  The
+    conjugation swaps the diagonal blocks through the antidiagonal
     and keeps the shape; any entry landing in the zero block is checked
     to vanish identically.
     """
@@ -480,14 +478,13 @@ def apply_symplectic_involution(chart: ChartIdeal) -> ChartIdeal:
     ring = chart.ring
     shape = ParabolicShape(n, r)
     J = j_matrix(g)
-    Jinv_rows = _int_inverse_unimodular(J)
+    Jp = [[ring.const(J[a, b]) for b in range(n)] for a in range(n)]
+    Jinvp = [[ring.const(-J[a, b]) for b in range(n)] for a in range(n)]
     sigma = involution_permutation(N)
     mapping: Dict[str, MultiPoly] = {}
     for i in range(N + 1):
         src = shape.symbolic_matrix(ring, sigma[i])
         transposed = polymat.transpose(src)
-        Jp = [[ring.const(J[a, b]) for b in range(n)] for a in range(n)]
-        Jinvp = [[ring.const(Jinv_rows[a][b]) for b in range(n)] for a in range(n)]
         target = polymat.matmul(polymat.matmul(Jinvp, transposed), Jp)
         if not shape.in_shape_poly(target):
             raise ShapeViolation(f"involution image of Pi{sigma[i]} leaves the shape")
@@ -499,24 +496,6 @@ def apply_symplectic_involution(chart: ChartIdeal) -> ChartIdeal:
         provenance=f"{chart.provenance};involution",
         meta=dict(chart.meta, involuted=True),
     )
-
-
-def _int_inverse_unimodular(M: IntMatrix) -> List[List[int]]:
-    from fractions import Fraction
-
-    from .gfq import mat_inv
-    from .poly import QQ as _QQ
-
-    rows = [[Fraction(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
-    inv = mat_inv(rows, _QQ)
-    if inv is None:
-        raise ValueError("matrix not invertible")
-    out = []
-    for row in inv:
-        out.append([int(x) for x in row])
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("inverse is not integral")
-    return out
 
 
 # -- exact equivariance certificates ---------------------------------------------

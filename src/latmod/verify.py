@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import ChainSpec, shift_matrix_value
 from .chart import ChartIdeal
-from .errors import ResourceLimitError
 from .gfq import SmallField, mat_mul, mat_rank
 from .ideals import PolyIdeal, dimension, ideal_contains_one, jacobian, minors
 from .poly import Field, GF, MultiPoly
@@ -60,15 +59,12 @@ def smooth_check(
     chart: ChartIdeal,
     c: int,
     hints: Optional[Sequence[Tuple[Sequence[int], Sequence[int]]]] = None,
-    max_candidates: Optional[int] = None,
 ) -> SmoothnessCertificate:
     """Jacobian criterion: 1 in I + (c x c minors of Jac I).
 
     Minors are added lazily (hints first) until the combined ideal hits
     1; a true verdict records the minors used.  A false verdict is only
-    issued after exhausting every minor, so it is exact; if
-    ``max_candidates`` cuts the search first, a ResourceLimitError is
-    raised rather than guessing.
+    issued after exhausting every minor, so it is exact.
     """
     ideal = chart.ideal
     if ideal_contains_one(ideal):
@@ -89,10 +85,6 @@ def smooth_check(
     total = math.comb(nrows, c) * math.comb(ncols, c)
     for rows, cols in _minor_candidates(nrows, ncols, c, hints):
         count += 1
-        if max_candidates is not None and count > max_candidates:
-            raise ResourceLimitError(
-                f"smooth_check stopped after {max_candidates} candidate minors"
-            )
         sub = [[jac[i][j] for j in cols] for i in rows]
         m = minors(sub, c)[0]
         if m.is_zero():
@@ -152,13 +144,10 @@ def mu_generic_fiber_hints(chart: ChartIdeal) -> List[Tuple[Tuple[int, ...], Tup
     return [(rows, cols)]
 
 
-def generic_fiber_smooth_check(
-    chart: ChartIdeal,
-    hints: Optional[Sequence] = None,
-    max_candidates: Optional[int] = None,
-) -> Tuple[SmoothnessCertificate, int]:
+def generic_fiber_smooth_check(chart: ChartIdeal) -> Tuple[SmoothnessCertificate, int]:
     """Smoothness of the chart with t inverted; codimension is computed
-    by the dimension operation, never assumed."""
+    by the dimension operation, never assumed.  A cyclic-product chart
+    tries its structured minor (``mu_generic_fiber_hints``) first."""
     inverted = invert_t(chart)
     if ideal_contains_one(inverted.ideal):
         return (
@@ -167,9 +156,8 @@ def generic_fiber_smooth_check(
         )
     dim = dimension(inverted.ideal)
     c = inverted.ring.nvars - dim
-    if hints is None and chart.meta.get("kind") == "mu":
-        hints = mu_generic_fiber_hints(inverted)
-    cert = smooth_check(inverted, c, hints=hints, max_candidates=max_candidates)
+    hints = mu_generic_fiber_hints(inverted) if chart.meta.get("kind") == "mu" else None
+    cert = smooth_check(inverted, c, hints=hints)
     return cert, dim
 
 

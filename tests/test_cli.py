@@ -301,6 +301,30 @@ def test_sym_commands_output_pinned(runner, args):
     )
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            "mu chart --n 3 --r 1 --N 1 --d 1,2",
+            "c3b2c791fc95a1910a6fce6a12a083efa69c26179965acfe929a8a5f1452bace",
+        ),
+        (
+            "lm build --n 2 --r 1 --N 1 --d 1,1 --symplectic",
+            "fc00cf314361b19fdeaeb99b0a00e097f477430baec59063a426110695604ef2",
+        ),
+        (
+            "sigma build --g 1 --N 1",
+            "dbd6d9268b75d210405d1341e3159061309cb40dfb994480d29a4c0e731514fd",
+        ),
+    ],
+)
+def test_build_commands_output_pinned(runner, args, digest):
+    """The exit status and the sha256 of the stdout of the builders over QQ."""
+    res = runner.invoke(main, args.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
 def test_res_kill_torsion_pipeline(runner, tmp_path):
     src = tmp_path / "in.json"
     doc = {

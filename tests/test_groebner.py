@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from latmod.chart import ChartIdeal
 from latmod.errors import ResourceLimitError
-from latmod.ideals import PolyIdeal, groebner, ideal_contains_one
+from latmod.ideals import PolyIdeal, groebner, ideal_contains_one, saturate
 from latmod.poly import GF, PolyRing, QQ
+from latmod.resolution import blowup_chart
 from latmod.verify import membership_oracle
 
 
@@ -108,6 +110,8 @@ def test_membership_agrees_with_linear_algebra_oracle():
 
 
 def test_pair_queue_resource_guard():
+    """The cap set on an ideal also bounds its saturations and the
+    saturation inside each blowup chart of it."""
     R = PolyRing(QQ, ["x", "y", "z"])
     x, y, z = R.gens()
     I = PolyIdeal(
@@ -117,6 +121,10 @@ def test_pair_queue_resource_guard():
     )
     with pytest.raises(ResourceLimitError):
         I.groebner_basis()
+    with pytest.raises(ResourceLimitError):
+        saturate(I, x)
+    with pytest.raises(ResourceLimitError):
+        blowup_chart(ChartIdeal(I, "capped"), [x, y], 0)
 
 
 def test_groebner_deterministic(ring):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from latmod.schemes import (
@@ -61,6 +63,22 @@ def test_involution_signed_generator_set_fixed():
         mu = mu_ideal(2 * g, g, N)
         inv = apply_symplectic_involution(mu)
         assert generators_match_up_to_sign(mu.generators, inv.generators)
+
+
+@pytest.mark.parametrize(
+    "g, N, digest",
+    [
+        (1, 1, "9eec8c5e8827c7a0ccd187e35309ec6ffc0625dfc68ffbf483340e2cfb2fe0f1"),
+        (1, 2, "825e8fc58c9573d25caa4a296c5fae7c019e00367dd4051aa4b173679ac3ce2e"),
+        (2, 1, "241695a7a16776f5bdfaef02c2c0479730625bee0fffbe2a7e77f9b4f5755434"),
+        (2, 2, "b291e3081072c9b890000b990efabd838ee60eacc39a9817577c939403142be6"),
+    ],
+)
+def test_involution_images_pinned(g, N, digest):
+    """The sha256 of the involution's generators, in order."""
+    inv = apply_symplectic_involution(mu_ideal(2 * g, g, N))
+    text = "\n".join(map(str, inv.generators))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_involution_fixes_t():
