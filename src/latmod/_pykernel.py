@@ -155,15 +155,15 @@ def nf(f, basis, pk, p, index=None):
     return tail, num, den
 
 
-def spoly(f, g, pk, p):
-    """S-polynomial, primitive (char 0) or reduced mod p.
+def spoly(f, g, L, pk, p):
+    """S-polynomial, primitive (char 0) or reduced mod p, of f and g whose
+    leads have the lcm L.
 
     The two lead products cancel by construction and are skipped; the
-    others are ``L - lm + k`` for the lcm L of the leads.
+    others are ``L - lm + k``.
     """
     lmf, lcf = f[0]
     lmg, lcg = g[0]
-    L = pk.lcm(lmf, lmg)
     df = L - lmf
     dg = L - lmg
     if p:
@@ -274,7 +274,7 @@ def buchberger(gens, pk, p, pair_limit):
                 f"pair queue exceeded {pair_limit} during Buchberger"
             )
         L, i, j = heapq.heappop(heap)
-        s = spoly(G[i], G[j], pk, p)
+        s = spoly(G[i], G[j], L, pk, p)
         if not s:
             continue
         r, _, _ = nf(s, G, pk, p, index)

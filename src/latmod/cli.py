@@ -62,6 +62,21 @@ def _parse_d(d: str) -> tuple:
         raise click.UsageError(f"--d must be a comma list of integers, got {d!r}")
 
 
+def _shape_options(command):
+    """The --n, --r and --N options of every command on one chain shape
+    (added last to first, so that --help lists them in that order)."""
+    for decls in (("--N", "bign"), ("--r",), ("--n",)):
+        command = click.option(*decls, type=int, required=True)(command)
+    return command
+
+
+def _verdict(ok) -> None:
+    """Print a check's verdict as true or false; exit 1 when it is false."""
+    click.echo(str(bool(ok)).lower())
+    if not ok:
+        sys.exit(1)
+
+
 @click.group()
 def main():
     """Exact workbench for lattice-chain local models."""
@@ -75,9 +90,7 @@ def mu():
 
 
 @mu.command("build")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--N", "bign", type=int, required=True)
+@_shape_options
 @click.option("--out", type=str, default=None)
 def mu_build(n, r, bign, out):
     chart = mu_ideal(n, r, bign)
@@ -85,9 +98,7 @@ def mu_build(n, r, bign, out):
 
 
 @mu.command("chart")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--N", "bign", type=int, required=True)
+@_shape_options
 @click.option("--d", type=str, required=True, help="comma list, N+1 entries")
 @click.option(
     "--minors",
@@ -128,9 +139,7 @@ def lm():
 
 
 @lm.command("build")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--N", "bign", type=int, required=True)
+@_shape_options
 @click.option("--d", type=str, required=True)
 @click.option("--pivots", type=str, default=None, help="JSON list of row subsets")
 @click.option("--symplectic", is_flag=True, default=False)
@@ -153,9 +162,7 @@ def chain():
 
 
 @chain.command("normal-form")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--N", "bign", type=int, required=True)
+@_shape_options
 @click.option("--d", type=str, required=True)
 @click.option("--q", type=int, required=True)
 @click.option("--tau", type=int, required=True)
@@ -200,9 +207,7 @@ def toric():
 
 
 @toric.command("s-set")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--N", "bign", type=int, required=True)
+@_shape_options
 @click.option("--out", type=str, default=None)
 def toric_sset(n, r, bign, out):
     S = enumerate_index_set(n, r, bign)
@@ -221,9 +226,7 @@ def toric_sset(n, r, bign, out):
 
 
 @toric.command("chi")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--N", "bign", type=int, required=True)
+@_shape_options
 @click.option("--out", type=str, default=None)
 def toric_chi(n, r, bign, out):
     data = character_data(n, r, bign)
@@ -246,9 +249,7 @@ def toric_chi(n, r, bign, out):
 
 
 @toric.command("check-torus")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--N", "bign", type=int, required=True)
+@_shape_options
 @click.option("--out", type=str, default=None)
 def toric_check(n, r, bign, out):
     params = {"n": n, "r": r, "N": bign}
@@ -268,9 +269,7 @@ def toric_check(n, r, bign, out):
         sort_keys=True,
     )
     _emit(doc, out)
-    click.echo(str(kernel_ok and quotient_ok).lower())
-    if not (kernel_ok and quotient_ok):
-        sys.exit(1)
+    _verdict(kernel_ok and quotient_ok)
 
 
 # -- res ------------------------------------------------------------------------------
@@ -333,28 +332,20 @@ def sym():
 
 
 @sym.command("check-shift")
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--N", "bign", type=int, required=True)
+@_shape_options
 @click.option("--s", type=int, default=None, help="single shift; default all")
 def sym_shift(n, r, bign, s):
     params = {"n": n, "r": r, "N": bign}
     if s is not None:
         params["s"] = s
-    ok = CHECKS["shift_stability"](params, 0)[0]
-    click.echo(str(bool(ok)).lower())
-    if not ok:
-        sys.exit(1)
+    _verdict(CHECKS["shift_stability"](params, 0)[0])
 
 
 @sym.command("check-involution")
 @click.option("--g", type=int, required=True)
 @click.option("--N", "bign", type=int, required=True)
 def sym_involution(g, bign):
-    ok = CHECKS["involution_stability"]({"g": g, "N": bign}, 0)[0]
-    click.echo(str(bool(ok)).lower())
-    if not ok:
-        sys.exit(1)
+    _verdict(CHECKS["involution_stability"]({"g": g, "N": bign}, 0)[0])
 
 
 # -- verify ----------------------------------------------------------------------------

@@ -38,11 +38,6 @@ def _scaled_terms(f: MultiPoly, pk: Packing) -> Tuple[List[Tuple[int, int]], int
     return terms, den
 
 
-def poly_to_terms(f: MultiPoly, pk: Packing) -> List[Tuple[int, int]]:
-    """Packed integer terms of f; over QQ denominators are cleared."""
-    return _scaled_terms(f, pk)[0]
-
-
 def terms_to_poly(
     terms: Sequence[Tuple[int, int]],
     ring: PolyRing,
@@ -94,14 +89,11 @@ class PolyIdeal:
     def kernel_basis(self) -> List[List[Tuple[int, int]]]:
         if self._kernel_gb is None:
             pk = self.packing
-            gens = [poly_to_terms(g, pk) for g in self.generators]
+            gens = [_scaled_terms(g, pk)[0] for g in self.generators]
             self._kernel_gb = kernel.buchberger(
                 gens, pk, self.ring.field.p, self.pair_limit
             )
         return self._kernel_gb
-
-    def _set_kernel_basis(self, basis) -> None:
-        self._kernel_gb = basis
 
     # -- public surface -------------------------------------------------------
     def groebner_basis(self) -> List[MultiPoly]:
@@ -151,14 +143,6 @@ class PolyIdeal:
             self.order,
             self.pair_limit,
         )
-
-
-def groebner(I: PolyIdeal) -> PolyIdeal:
-    """Same ideal with the reduced basis computed and cached as generators."""
-    basis = I.groebner_basis()
-    out = PolyIdeal(I.ring, basis, I.order, I.pair_limit)
-    out._set_kernel_basis(I.kernel_basis())
-    return out
 
 
 def ideal_contains_one(I: PolyIdeal) -> bool:
@@ -237,7 +221,7 @@ def saturate(I: PolyIdeal, f: MultiPoly) -> PolyIdeal:
     # The aux-free part of the block-order reduced basis is already the
     # reduced grevlex basis of the contraction.
     pk = out.packing
-    out._set_kernel_basis([poly_to_terms(g, pk) for g in contracted])
+    out._kernel_gb = [_scaled_terms(g, pk)[0] for g in contracted]
     return out
 
 

@@ -35,12 +35,17 @@ class Field:
         return f
 
     def coerce(self, x):
-        if self.p:
+        """x as an element of this field; a rational goes to GF(p) through
+        its numerator times the inverse of its denominator, and one whose
+        denominator p divides has no image there (ValueError)."""
+        p = self.p
+        if p:
             if isinstance(x, Fraction):
-                if x.denominator == 1:
-                    return x.numerator % self.p
-                return (x.numerator * pow(x.denominator, self.p - 2, self.p)) % self.p
-            return int(x) % self.p
+                den = x.denominator % p
+                if not den:
+                    raise ValueError(f"denominator of {x} divisible by {p}")
+                return x.numerator * pow(den, p - 2, p) % p
+            return int(x) % p
         if isinstance(x, Fraction):
             return x
         return Fraction(x)
@@ -469,17 +474,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.parse_factor()
-                if val == "*":
-                    node = node * rhs
-                else:
-                    if not rhs.is_constant():
-                        raise ValueError("division only by constants")
-                    c = rhs.constant_value()
-                    f = self.ring.field
-                    node = MultiPoly(
-                        self.ring,
-                        {e: f.div(cc, c) for e, cc in node.terms.items()},
-                    )
+                node = node * rhs if val == "*" else node / rhs
             else:
                 return node
 

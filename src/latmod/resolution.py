@@ -37,11 +37,7 @@ class BlowupChart:
         ring = self.chart.ring
         ideal = self.chart.ideal
         fk = self.center[self.chart_index].map_ring(ring)
-        ext_gens = list(ideal.generators)
-        # f_j in (f_k) modulo the chart ideal <=> f_j reduces to 0 modulo
-        # the ideal + the graph relation u*f_k with fresh u eliminated;
-        # here the ratio relations f_j - u_j f_k are already present, so
-        # membership is immediate.
+        # f_j = u_j f_k modulo the chart ideal puts f_j in (f_k)
         for j, f in enumerate(self.center):
             if j == self.chart_index:
                 continue
@@ -188,27 +184,13 @@ class DiagonalChartData:
 def diagonal_chart_ideals(g: int) -> DiagonalChartData:
     if g < 1:
         raise ValueError("need g >= 1")
-    names = [f"a{i}" for i in range(g + 1)] + ["t"]
-    ring = PolyRing(QQ, names)
-    avars = [ring.var(f"a{i}") for i in range(g + 1)]
-    A = []
-    for i in range(g):
-        m = ring.one
-        for k in range(i + 1):
-            m = m * avars[k]
-        A.append(m)
-    Ap = []
-    for i in range(g):
-        m = ring.one
-        for k in range(i + 1, g + 1):
-            m = m * avars[k]
-        Ap.append(m)
-    rel = ring.one
-    for v in avars:
-        rel = rel * v
-    rel = rel - ring.var("t")
+    ring = PolyRing(QQ, [f"a{i}" for i in range(g + 1)] + ["t"])
     return DiagonalChartData(
-        g=g, ring=ring, A=tuple(A), Aprime=tuple(Ap), relation=rel
+        g=g,
+        ring=ring,
+        A=tuple(_a_monomial(ring, 0, i + 1) for i in range(g)),
+        Aprime=tuple(_a_monomial(ring, i + 1, g + 1) for i in range(g)),
+        relation=_a_monomial(ring, 0, g + 1) - ring.var("t"),
     )
 
 

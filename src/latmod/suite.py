@@ -119,10 +119,15 @@ def check_open_cell(params: Dict, seed: int) -> Tuple[bool, Dict]:
     }
 
 
-def check_chain_roundtrip(params: Dict, seed: int) -> Tuple[bool, Dict]:
-    spec = ChainSpec(
+def _chain_spec(params: Dict) -> ChainSpec:
+    """The chain spec of a check's n, r, N and d parameters."""
+    return ChainSpec(
         int(params["n"]), int(params["r"]), int(params["N"]), tuple(params["d"])
     )
+
+
+def check_chain_roundtrip(params: Dict, seed: int) -> Tuple[bool, Dict]:
+    spec = _chain_spec(params)
     q = int(params["q"])
     trials = int(params.get("trials", 100))
     field = GF(q)
@@ -167,9 +172,7 @@ def _mu_chart_points(spec: ChainSpec, q: int):
 
 
 def check_chain_census(params: Dict, seed: int) -> Tuple[bool, Dict]:
-    spec = ChainSpec(
-        int(params["n"]), int(params["r"]), int(params["N"]), tuple(params["d"])
-    )
+    spec = _chain_spec(params)
     q = int(params["q"])
     field = GF(q)
     members = 0
@@ -197,9 +200,7 @@ def check_generic_fiber_mu(params: Dict, seed: int) -> Tuple[bool, Dict]:
 
 
 def check_generic_fiber_lm(params: Dict, seed: int) -> Tuple[bool, Dict]:
-    spec = ChainSpec(
-        int(params["n"]), int(params["r"]), int(params["N"]), tuple(params["d"])
-    )
+    spec = _chain_spec(params)
     pivots = params.get("pivots")
     lm = local_model_ideal(spec, pivots)
     cert, dim = generic_fiber_smooth_check(lm)
@@ -367,9 +368,7 @@ def check_s_set_count(params: Dict, seed: int) -> Tuple[bool, Dict]:
 
 
 def check_glued_count(params: Dict, seed: int) -> Tuple[bool, Dict]:
-    spec = ChainSpec(
-        int(params["n"]), int(params["r"]), int(params["N"]), tuple(params["d"])
-    )
+    spec = _chain_spec(params)
     q = int(params["q"])
     tau = int(params.get("tau", 0))
     glued = glued_local_model_count(spec, q, tau)

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, cycle, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import ChainSpec, shift_matrix_value
@@ -30,29 +29,21 @@ class SmoothnessCertificate:
 
 
 def _minor_candidates(nrows: int, ncols: int, c: int, hints):
-    seen = set()
-    if hints:
-        for rows, cols in hints:
-            key = (tuple(rows), tuple(cols))
-            if key not in seen:
-                seen.add(key)
-                yield key
-    # Deterministic interleaved enumeration: stride through the subset
-    # lattice so early candidates touch different rows/columns.
-    row_subsets = list(combinations(range(nrows), c))
-    col_subsets = list(combinations(range(ncols), c))
-    for i, rows in enumerate(row_subsets):
-        cols = col_subsets[i % len(col_subsets)]
-        key = (rows, cols)
-        if key not in seen:
-            seen.add(key)
+    """Every (rows, cols) pair of c-subsets once, lazily: the hints first,
+    then a stride through the subset lattice (row subset i with column
+    subset i mod C, so that early candidates touch different rows and
+    columns), then every other pair in lexicographic order."""
+    hinted = dict.fromkeys((tuple(rows), tuple(cols)) for rows, cols in hints or ())
+    yield from hinted
+    stride = zip(combinations(range(nrows), c), cycle(combinations(range(ncols), c)))
+    for key in stride:
+        if key not in hinted:
             yield key
-    for rows in row_subsets:
-        for cols in col_subsets:
-            key = (rows, cols)
-            if key not in seen:
-                seen.add(key)
-                yield key
+    C = math.comb(ncols, c)
+    for i, rows in enumerate(combinations(range(nrows), c)):
+        for j, cols in enumerate(combinations(range(ncols), c)):
+            if j != i % C and (rows, cols) not in hinted:
+                yield rows, cols
 
 
 def smooth_check(
@@ -81,17 +72,10 @@ def smooth_check(
         return SmoothnessCertificate(chart.provenance, c, False, (), True)
     work = ideal
     used: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    count = 0
-    total = math.comb(nrows, c) * math.comb(ncols, c)
     for rows, cols in _minor_candidates(nrows, ncols, c, hints):
-        count += 1
         sub = [[jac[i][j] for j in cols] for i in rows]
         m = minors(sub, c)[0]
-        if m.is_zero():
-            if count >= total and not used:
-                break
-            continue
-        if work.contains(m):
+        if m.is_zero() or work.contains(m):
             continue
         work = work.plus([m])
         used.append((rows, cols))
@@ -226,16 +210,11 @@ def _compile(f: MultiPoly, sf: SmallField, slot: Dict[str, int], fixed: Dict[str
     (coefficient, exponent of its last coordinate, ((slot, exponent), ...)
     of the other coordinates), and the number of coordinates that must be
     assigned before f can be evaluated (the last coordinate's slot + 1)."""
-    p = sf.p
+    # SmallField encodes its prime subfield as 0..p-1, as GF(p) does
+    coerce = GF(sf.p).coerce
     terms = []
     for e, c in f.terms.items():
-        if isinstance(c, Fraction):
-            den = c.denominator % p
-            if den == 0:
-                raise ValueError("denominator divisible by p")
-            v = c.numerator * pow(den, p - 2, p) % p
-        else:
-            v = int(c) % p
+        v = coerce(c)
         factors = {}
         for name, k in zip(f.ring.names, e):
             if not k:

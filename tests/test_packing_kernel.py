@@ -391,7 +391,7 @@ def test_nf_and_spoly_match_reference(order, p, seed):
         assert nf(f, basis, pk, p, index) == reference_nf(f, basis, pk, p)
     for f in basis:
         for g in basis:
-            s = spoly(f, g, pk, p)
+            s = spoly(f, g, pk.lcm(f[0][0], g[0][0]), pk, p)
             assert s == reference_spoly(f, g, pk, p)
             assert nf(s, basis, pk, p, index) == reference_nf(s, basis, pk, p)
 

@@ -96,3 +96,20 @@ def test_map_ring(ring):
     g = f.map_ring(ring)
     assert str(g) == str(f)
     assert g.ring == ring
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rational_with_denominator_divisible_by_p_has_no_image_in_gf_p(p):
+    F = GF(p)
+    assert F.coerce(Fraction(5, 7)) == 5 * pow(7, -1, p) % p
+    assert F.coerce(Fraction(-4)) == -4 % p
+    with pytest.raises(ValueError):
+        F.coerce(Fraction(1, p))
+    with pytest.raises(ValueError):
+        F.coerce(Fraction(p + 1, 2 * p))
+    R = PolyRing(QQ, ["x"])
+    x = R.gens()[0]
+    target = PolyRing(F, ["x"])
+    assert (x / 5 + 1).map_ring(target) == target.parse(f"{pow(5, -1, p)}*x + 1")
+    with pytest.raises(ValueError):
+        (x / p + 1).map_ring(target)
