@@ -193,29 +193,28 @@ def spoly(f, g, L, pk, p):
 def _update_pairs(pairs, G, lms, h_idx, pk):
     """Gebauer-Moeller pair update for the new basis element at h_idx.
 
-    The criteria run on the exponent fields ``y = (key & m) ^ flip`` (M - e
-    per field): b divides a iff ``((y_b | g) - y_a) & g == g``, two lcm keys
+    The criteria run on the exponent fields ``y = key & m`` (M - e per
+    field): b divides a iff ``((y_b | g) - y_a) & g == g``, two lcm keys
     are equal iff their fields are, and the fields of an lcm are the
     per-field minimum.  Lcm keys are built only for the new pairs kept.
     ``pairs`` is not modified.
     """
     g = pk.exp_guard_mask
     m = pk.exp_all_mask
-    f = pk.flip
     lmh = lms[h_idx]
-    yh = (lmh & m) ^ f
+    yh = lmh & m
     xh = yh | g
     # The fields of lcm(lm_i, lm_h), by the minimum step of Packing.lcm.
     cand = []
     for lm in lms[:h_idx]:
-        y = (lm & m) ^ f
+        y = lm & m
         t = (xh - y) & g
         cand.append(yh ^ ((yh ^ y) & (t - (t >> (WIDTH - 1)))))
     # B criterion: drop old pairs whose lcm is strictly refined through h.
     kept = [
         (L, i, j)
         for (L, i, j) in pairs
-        if (xh - (y := (L & m) ^ f)) & g != g or cand[i] == y or cand[j] == y
+        if (xh - (y := L & m)) & g != g or cand[i] == y or cand[j] == y
     ]
     # F criterion: among equal lcms only the first candidate counts.  Zipped
     # backwards, the lowest index of each lcm is the one written last.

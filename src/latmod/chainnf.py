@@ -60,7 +60,7 @@ def point_in_mu_chart(spec: ChainSpec, point, tau, field: Field) -> bool:
     if len(point) != spec.N + 1:
         return False
     shape = ParabolicShape(spec.n, spec.r)
-    if not all(shape.in_shape_values(m) for m in point):
+    if not all(shape.in_shape(m) for m in point):
         return False
     if not cyclic_products_ok(point, tau, field):
         return False

@@ -111,15 +111,10 @@ class ParabolicShape:
             m[a][b] = ring.var(f"Pi{i}_{a + 1}_{b + 1}")
         return m
 
-    def in_shape_poly(self, mat) -> bool:
-        return all(
-            mat[i][j].is_zero() for i in range(self.r, self.n) for j in range(self.r)
-        )
-
-    def in_shape_values(self, mat) -> bool:
-        return all(
-            not mat[i][j] for i in range(self.r, self.n) for j in range(self.r)
-        )
+    def in_shape(self, mat) -> bool:
+        """Whether the zero block of ``mat`` is zero; the entries may be
+        polynomials or field values."""
+        return all(mat[i][j] == 0 for i in range(self.r, self.n) for j in range(self.r))
 
     def blocks(self, mat):
         """(A, B, C) blocks of a matrix in this shape."""

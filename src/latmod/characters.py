@@ -110,7 +110,6 @@ class TorusCertificate:
     lattice_rank: int
     coordinates: Tuple[int, ...]
     invariants: Tuple[int, ...]
-    quotient: bool = False
 
     def gcd_of_coordinates(self) -> int:
         g = 0
@@ -165,15 +164,7 @@ def quotient_by_subtorus_check(data: CharacterData) -> TorusCertificate:
     # kernel of R, i.e. the saturation of the row span of R.
     ker_R = saturated_kernel(R)
     stacked = row_stack(data.center_embedding.transpose(), ker_R)
-    basis = saturated_kernel(stacked)
-    cert = _primitivity_in_lattice(basis, data.chi)
-    return TorusCertificate(
-        verdict=cert.verdict,
-        lattice_rank=cert.lattice_rank,
-        coordinates=cert.coordinates,
-        invariants=cert.invariants,
-        quotient=True,
-    )
+    return _primitivity_in_lattice(saturated_kernel(stacked), data.chi)
 
 
 def open_cell_point(
@@ -197,7 +188,7 @@ def open_cell_point(
     for idx, gi in enumerate(g):
         if len(gi) != n or any(len(row) != n for row in gi):
             raise ValueError("group element of wrong size")
-        if not shape.in_shape_values(gi):
+        if not shape.in_shape(gi):
             raise ValueError(f"g[{idx}] is not in the parabolic shape")
         inv = mat_inv(gi, field)
         if inv is None:
@@ -220,6 +211,6 @@ def open_cell_point(
     # verify the cyclic equations and the parabolic shape
     if not cyclic_products_ok(Pi, t, field):
         raise AssertionError("cyclic product equation failed")
-    if not all(shape.in_shape_values(m) for m in Pi):
+    if not all(shape.in_shape(m) for m in Pi):
         raise AssertionError("output left the parabolic shape")
     return Pi, t

@@ -18,7 +18,7 @@ from .poly import MultiPoly, PolyRing
 
 DEFAULT_PAIR_LIMIT = 100_000
 
-Order = object  # "grevlex" | "lex" | ("block", k)
+Order = object  # "grevlex" | ("block", k)
 
 
 def _scaled_terms(f: MultiPoly, pk: Packing) -> Tuple[List[Tuple[int, int]], int]:
@@ -118,23 +118,6 @@ class PolyIdeal:
 
     def contains_ideal(self, other: "PolyIdeal") -> bool:
         return all(self.contains(g) for g in other.generators)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyIdeal):
-            return NotImplemented
-        if self.ring != other.ring:
-            return False
-        a = self.with_order("grevlex").groebner_basis()
-        b = other.with_order("grevlex").groebner_basis()
-        return a == b
-
-    def __hash__(self):
-        raise TypeError("PolyIdeal is not hashable")
-
-    def with_order(self, order: Order) -> "PolyIdeal":
-        if order == self.order:
-            return self
-        return PolyIdeal(self.ring, self.generators, order, self.pair_limit)
 
     def plus(self, extra: Iterable[MultiPoly]) -> "PolyIdeal":
         return PolyIdeal(

@@ -1,11 +1,11 @@
 """Packed-integer monomials.
 
 A monomial is stored as a single Python int laid out so that plain integer
-comparison realizes the monomial order.  Field layout (most significant
-first), with W-bit fields and one guard bit per exponent field:
+comparison realizes the monomial order.  There are two layouts (most
+significant field first), with W-bit fields and one guard bit per exponent
+field:
 
 * grevlex over n variables:  [deg | M-e_n | M-e_{n-1} | ... | M-e_1]
-* lex:                       [e_1 | e_2 | ... | e_n]
 * block(k), grevlex twice:   [deg(e_1..e_k) | M-e_k ... M-e_1 |
                               deg(e_{k+1}..e_n) | M-e_n ... M-e_{k+1}]
 
@@ -14,11 +14,11 @@ come out reverse-lexicographic on the reversed variable list, which is
 exactly grevlex.  Multiplication of monomials is then key addition minus a
 constant, and divisibility is the classic guard-bit borrow test.
 
-Degree fields are W + 8 bits wide.  Masked to its exponent fields and XORed
-with ``flip`` (M in every field for lex, 0 otherwise), a key of any order
-holds M - e per field, so divisibility, lcm and coprimality are the same
-field-parallel (SWAR) operations on every order: ``b | a`` iff each field
-of b is >= that of a, and the lcm takes the per-field minimum.
+Degree fields are W + 8 bits wide.  Masked to its exponent fields, a key
+of either layout holds M - e per field, so divisibility, lcm and
+coprimality are the same field-parallel (SWAR) operations on both: ``b | a``
+iff each field of b is >= that of a, and the lcm takes the per-field
+minimum.
 
 ``DivisorIndex`` answers the reduction's question "which is the first lead
 dividing this monomial?" without a pass over the leads.  It cuts the
@@ -53,9 +53,8 @@ CHUNK = 8
 class Packing:
     """Layout data for one (nvars, order) combination.
 
-    ``order`` is "grevlex", "lex", or ("block", k) meaning: the first k
-    variables form an elimination block, graded-reverse-lex inside each
-    block.
+    ``order`` is "grevlex", or ("block", k) meaning: the first k variables
+    form an elimination block, graded-reverse-lex inside each block.
     """
 
     __slots__ = (
@@ -66,8 +65,6 @@ class Packing:
         "mul_offset",
         "exp_guard_mask",
         "exp_all_mask",
-        "negated",
-        "flip",
         "nonzero_base",
         "deg_runs",
         "_nbytes",
@@ -81,20 +78,13 @@ class Packing:
         shifts: List[int] = [0] * nvars
         deg_shifts: List[Tuple[int, Sequence[int]]] = []
         pos = 0
-        if order == "lex":
-            self.negated = False
-            for i in reversed(range(nvars)):
-                shifts[i] = pos
-                pos += WIDTH
-        elif order == "grevlex":
-            self.negated = True
+        if order == "grevlex":
             for i in range(nvars):
                 shifts[i] = pos
                 pos += WIDTH
             deg_shifts.append((pos, range(nvars)))
             pos += DEG_WIDTH
-        elif isinstance(order, tuple) and order[0] == "block":
-            self.negated = True
+        elif isinstance(order, tuple) and len(order) == 2 and order[0] == "block":
             k = order[1]
             if not 0 < k < nvars:
                 raise ValueError("block split out of range")
@@ -121,8 +111,7 @@ class Packing:
             allmask |= FIELD_MASK << s
         self.exp_guard_mask = guard
         self.exp_all_mask = allmask
-        self.mul_offset = offset if self.negated else 0
-        self.flip = 0 if self.negated else offset
+        self.mul_offset = offset
         # 2M - (M - e) = M + e per field: its guard bit is set iff e > 0
         self.nonzero_base = 2 * offset
         # Per degree field: its shift, the lowest shift of the exponent
@@ -148,18 +137,12 @@ class Packing:
         if len(exps) != self.nvars:
             raise ValueError("exponent tuple has wrong length")
         key = 0
-        if self.negated:
-            for e, s in zip(exps, self.shifts):
-                if not 0 <= e <= MAXE:
-                    raise OverflowError(f"exponent {e} out of packing range")
-                key |= (MAXE - e) << s
-            for s, ix in self.deg_shifts:
-                key |= sum(exps[i] for i in ix) << s
-        else:
-            for e, s in zip(exps, self.shifts):
-                if not 0 <= e <= MAXE:
-                    raise OverflowError(f"exponent {e} out of packing range")
-                key |= e << s
+        for e, s in zip(exps, self.shifts):
+            if not 0 <= e <= MAXE:
+                raise OverflowError(f"exponent {e} out of packing range")
+            key |= (MAXE - e) << s
+        for s, ix in self.deg_shifts:
+            key |= sum(exps[i] for i in ix) << s
         return key
 
     def unpack(self, key: int) -> Tuple[int, ...]:
@@ -167,8 +150,7 @@ class Packing:
         return exps if self._to_vars is None else self._to_vars(exps)
 
     def exponent(self, key: int, i: int) -> int:
-        v = (key >> self.shifts[i]) & FIELD_MASK
-        return MAXE - v if self.negated else v
+        return MAXE - ((key >> self.shifts[i]) & FIELD_MASK)
 
     def mul(self, a: int, b: int) -> int:
         key = a + b - self.mul_offset
@@ -180,8 +162,7 @@ class Packing:
         """True iff monomial b divides monomial a."""
         g = self.exp_guard_mask
         m = self.exp_all_mask
-        f = self.flip
-        return ((((b & m) ^ f) | g) - ((a & m) ^ f)) & g == g
+        return (((b & m) | g) - (a & m)) & g == g
 
     def quotient(self, a: int, b: int) -> int:
         """Key of a/b; caller must know b | a."""
@@ -190,13 +171,12 @@ class Packing:
     def lcm(self, a: int, b: int) -> int:
         g = self.exp_guard_mask
         m = self.exp_all_mask
-        f = self.flip
-        va = (a & m) ^ f
-        vb = (b & m) ^ f
+        va = a & m
+        vb = b & m
         t = ((va | g) - vb) & g  # guard bits of the fields where va >= vb
         # t - (t >> 15) sets the 15 value bits of those fields: take vb there
         v = va ^ ((va ^ vb) & (t - (t >> (WIDTH - 1))))
-        key = v ^ f
+        key = v
         for s, start, run, top in self.deg_runs:
             if ((a >> s) & DEG_MASK) + ((b >> s) & DEG_MASK) >= FIELD_MASK:
                 # The degree may reach 65535, where the field sum mod
@@ -211,9 +191,8 @@ class Packing:
 
     def coprime(self, a: int, b: int) -> bool:
         m = self.exp_all_mask
-        f = self.flip
         z = self.nonzero_base
-        return not (z - ((a & m) ^ f)) & (z - ((b & m) ^ f)) & self.exp_guard_mask
+        return not (z - (a & m)) & (z - (b & m)) & self.exp_guard_mask
 
     def total_degree(self, key: int) -> int:
         return sum(self.exponent(key, i) for i in range(self.nvars))
@@ -234,7 +213,7 @@ class DivisorIndex:
 
     def __init__(self, pk: Packing, leads: Iterable[int] = ()):
         self.full = 0  # the bitset of all leads
-        # Per chunk: (shift, mask, memo, flip, guard bits, M in every field,
+        # Per chunk: (shift, mask, memo, guard bits, M in every field,
         # then the bit and the masked key | guard of each lead that can fail
         # there, as two parallel lists: pairs would add a small object per
         # lead and chunk, which showed in peak RSS).
@@ -250,7 +229,7 @@ class DivisorIndex:
             mask = (1 << (WIDTH * len(run))) - 1
             guard = sum(GUARD << (s - low) for s in run)
             top = sum(MAXE << (s - low) for s in run)
-            chunks.append((low, mask, {}, (pk.flip >> low) & mask, guard, top, [], []))
+            chunks.append((low, mask, {}, guard, top, [], []))
         self.chunks = tuple(chunks)
         for b in leads:
             self.append(b)
@@ -258,27 +237,26 @@ class DivisorIndex:
     def append(self, b: int) -> None:
         bit = self.full + 1
         self.full |= bit
-        for low, mask, memo, flip, guard, top, bits, xs in self.chunks:
-            y = ((b >> low) & mask) ^ flip
+        for low, mask, memo, guard, top, bits, xs in self.chunks:
+            y = (b >> low) & mask
             if y == top:
                 continue
             x = y | guard
             bits.append(bit)
             xs.append(x)
             for v in memo:
-                if (x - (v ^ flip)) & guard != guard:
+                if (x - v) & guard != guard:
                     memo[v] |= bit
 
     def first(self, a: int) -> int:
         bad = 0
-        for low, mask, memo, flip, guard, top, bits, xs in self.chunks:
+        for low, mask, memo, guard, top, bits, xs in self.chunks:
             v = (a >> low) & mask
             b = memo.get(v)
             if b is None:
                 b = 0
-                y = v ^ flip
                 for bit, x in zip(bits, xs):
-                    if (x - y) & guard != guard:
+                    if (x - v) & guard != guard:
                         b |= bit
                 memo[v] = b
             bad |= b

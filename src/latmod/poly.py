@@ -349,22 +349,6 @@ class MultiPoly:
             out = out + term
         return out
 
-    def evaluate(self, point: Mapping[str, object]):
-        """Value at a full point; coordinates are field elements."""
-        f = self.ring.field
-        vals = [f.coerce(point[n]) for n in self.ring.names]
-        acc = f.zero
-        for e, c in self.terms.items():
-            v = c
-            for i, exp in enumerate(e):
-                if exp:
-                    if f.p:
-                        v = (v * pow(vals[i], exp, f.p)) % f.p
-                    else:
-                        v = v * vals[i] ** exp
-            acc = f.add(acc, v)
-        return acc
-
     def map_ring(self, target: PolyRing) -> "MultiPoly":
         """Reinterpret in a ring containing the same-named variables."""
         pos = [target.index[n] for n in self.ring.names]

