@@ -1,5 +1,6 @@
 class ResourceLimitError(RuntimeError):
-    """Raised when the Buchberger pair queue exceeds its configured cap."""
+    """Raised when the Buchberger pair queue or the smooth_check minor search
+    exceeds its cap."""
 
 
 class ShapeViolation(ValueError):

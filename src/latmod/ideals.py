@@ -136,42 +136,41 @@ def ideal_contains_one(I: PolyIdeal) -> bool:
 def dimension(I: PolyIdeal) -> int:
     """Krull dimension of the affine vanishing set; -1 for the unit ideal.
 
-    Computed as the largest set of variables independent modulo the
-    leading-term ideal of the reduced basis (valid for any global order).
+    The largest variable set containing no lead support of the reduced
+    basis (valid for any global order), by depth-first branch and bound on
+    bitmasks.  A node's k-th branch drops the k-th droppable variable of its
+    smallest live support and keeps the first k-1, so no set recurs; a node
+    is cut when its live variables, less one per pairwise-disjoint live
+    support, cannot beat the best found.
     """
     if ideal_contains_one(I):
         return -1
-    pk = I.packing
-    basis = I.kernel_basis()
-    nvars = I.ring.nvars
-    supports = []
-    for g in basis:
-        e = pk.unpack(g[0][0])
-        supports.append(frozenset(i for i, x in enumerate(e) if x))
-    supports = sorted(set(supports), key=lambda s: (len(s), sorted(s)))
-    memo: Dict[frozenset, int] = {}
-
-    def best_independent(alive: frozenset) -> int:
-        live = [s for s in supports if s <= alive]
+    unpack = I.packing.unpack
+    supports = sorted(
+        {sum(1 << i for i, x in enumerate(unpack(g[0][0])) if x) for g in I.kernel_basis()},
+        key=int.bit_count,
+    )
+    best = -1
+    stack = [((1 << I.ring.nvars) - 1, 0)]  # (alive, kept) variable masks
+    while stack:
+        alive, kept = stack.pop()
+        live = [s & ~kept for s in supports if s & alive == s]
+        bound, hit = alive.bit_count(), 0
+        for s in live:
+            if not s & hit:
+                hit |= s
+                bound -= 1
+        if bound <= best:
+            continue
         if not live:
-            return len(alive)
-        cached = memo.get(alive)
-        if cached is not None:
-            return cached
-        pivot = min(live, key=len)
-        best = -1
-        for v in sorted(pivot):
-            r = best_independent(alive - {v})
-            if r > best:
-                best = r
-        memo[alive] = best
-        return best
-
-    dim = best_independent(frozenset(range(nvars)))
-    # best_independent refers to itself through its closure; breaking that
-    # cycle frees the memo now instead of at a later cyclic collection.
-    del best_independent
-    return dim
+            best = bound
+            continue
+        pivot = min(live, key=int.bit_count)
+        while pivot:  # pushed last to first, so the first branch runs first
+            v = 1 << (pivot.bit_length() - 1)
+            pivot ^= v
+            stack.append((alive ^ v, kept | pivot))
+    return best
 
 
 def _fresh_name(ring: PolyRing, base: str) -> str:
@@ -247,7 +246,7 @@ def minors(M: Sequence[Sequence[MultiPoly]], k: int) -> List[MultiPoly]:
     for rs in combinations(range(rows), k):
         for cs in combinations(range(cols), k):
             out.append(det(rs, cs))
-    del det  # frees the memo at once, as in dimension()
+    del det  # det refers to itself through its closure; this frees the memo at once
     return out
 
 

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import ChainSpec, shift_matrix_value
 from .chart import ChartIdeal
+from .errors import ResourceLimitError
 from .gfq import SmallField, mat_mul, mat_rank
 from .ideals import PolyIdeal, dimension, ideal_contains_one, jacobian, minors
 from .poly import Field, GF, MultiPoly
@@ -26,6 +27,11 @@ class SmoothnessCertificate:
     verdict: bool
     witness_minors: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
     exhaustive: bool
+
+
+# Most (rows, cols) candidates smooth_check draws before it gives up.  The
+# default config draws at most 99; symplectic (4,2,1,(2,2)) succeeds after 12,698.
+MAX_MINOR_CANDIDATES = 16_384
 
 
 def _minor_candidates(nrows: int, ncols: int, c: int, hints):
@@ -55,7 +61,8 @@ def smooth_check(
 
     Minors are added lazily (hints first) until the combined ideal hits
     1; a true verdict records the minors used.  A false verdict is only
-    issued after exhausting every minor, so it is exact.
+    issued after exhausting every minor, so it is exact.  Drawing more
+    than ``MAX_MINOR_CANDIDATES`` candidates raises ResourceLimitError.
     """
     ideal = chart.ideal
     if ideal_contains_one(ideal):
@@ -72,7 +79,11 @@ def smooth_check(
         return SmoothnessCertificate(chart.provenance, c, False, (), True)
     work = ideal
     used: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    for rows, cols in _minor_candidates(nrows, ncols, c, hints):
+    for drawn, (rows, cols) in enumerate(_minor_candidates(nrows, ncols, c, hints), 1):
+        if drawn > MAX_MINOR_CANDIDATES:
+            raise ResourceLimitError(
+                f"smooth_check drew more than {MAX_MINOR_CANDIDATES} minor candidates"
+            )
         sub = [[jac[i][j] for j in cols] for i in rows]
         m = minors(sub, c)[0]
         if m.is_zero() or work.contains(m):

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from latmod.ideals import PolyIdeal, dimension, ideal_contains_one, jacobian, minors, saturate
 from latmod.poly import PolyRing, QQ
+from latmod.schemes import mu_ideal
 from latmod.verify import dimension_growth_oracle
 
 
@@ -59,6 +62,43 @@ def test_dimension_growth_oracle_corpus():
         if not gens:
             oracle = ring.nvars  # zero ideal: every point is a zero
         assert d == oracle, (gens, d, oracle)
+
+
+def _brute_force_dimension(nvars, supports):
+    """Largest variable subset (as a bitmask) containing no support."""
+    return max(
+        S.bit_count()
+        for S in range(1 << nvars)
+        if all(s & S != s for s in supports)
+    )
+
+
+def test_dimension_matches_brute_force_on_random_monomial_ideals():
+    """A monomial ideal's dimension is the largest variable set that contains
+    the support of none of its generators; every subset is tried."""
+    rng = random.Random(19)
+    for _ in range(400):
+        nvars = rng.randint(1, 9)
+        ring = PolyRing(QQ, [f"x{i}" for i in range(nvars)])
+        xs = ring.gens()
+        gens, supports = [], []
+        for _ in range(rng.randint(1, 8)):
+            support = rng.sample(range(nvars), rng.randint(1, min(4, nvars)))
+            g = ring.one
+            for i in support:
+                g = g * xs[i] ** rng.randint(1, 3)
+            gens.append(g)
+            supports.append(sum(1 << i for i in support))
+        expected = _brute_force_dimension(nvars, supports)
+        assert dimension(PolyIdeal(ring, gens)) == expected, (nvars, gens)
+
+
+@pytest.mark.parametrize(
+    "spec, dim",
+    [((2, 1, 2), 7), ((3, 1, 1), 8), ((3, 2, 1), 8), ((3, 1, 2), 15), ((3, 2, 2), 15), ((4, 2, 1), 13)],
+)
+def test_mu_dimensions(spec, dim):
+    assert dimension(mu_ideal(*spec).ideal) == dim
 
 
 def test_saturate_examples(ring):

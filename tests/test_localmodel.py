@@ -1,6 +1,10 @@
+import time
+
 import pytest
 
+from latmod import verify
 from latmod.chains import ChainSpec
+from latmod.errors import ResourceLimitError
 from latmod.poly import PolyRing, QQ
 from latmod.schemes import (
     delta_matrix,
@@ -92,6 +96,18 @@ def test_symplectic_lm_g2_isotropy_contributes():
     sympl = symplectic_local_model_ideal(spec)
     extra = len(sympl.generators) - len(base.generators)
     assert extra == 2  # one Pluecker-type generator per isotropic end
+
+
+def test_smooth_check_stops_at_the_candidate_bound(monkeypatch):
+    """Symplectic (4,2,2,(1,1,2)) finds no unit ideal among the first
+    thousands of minors; with the bound at 40 draws it fails at once
+    instead of searching without end."""
+    monkeypatch.setattr(verify, "MAX_MINOR_CANDIDATES", 40)
+    lm = symplectic_local_model_ideal(ChainSpec(4, 2, 2, (1, 1, 2), symplectic=True))
+    t0 = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="40 minor candidates"):
+        generic_fiber_smooth_check(lm)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_symplectic_spec_validation():
