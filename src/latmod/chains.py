@@ -83,8 +83,9 @@ def shift_matrix_power(n: int, m: int, ring: PolyRing):
 class ParabolicShape:
     """Block upper-triangular n x n shape with diagonal blocks r, n-r.
 
-    Provides the coordinate layout Pi{i}_{row}_{col} (1-indexed) for the
-    entries outside the zero block, and symbolic matrices in that shape.
+    Owns the coordinate layout: ``positions()`` lists the entries outside
+    the zero block, row-major, and ``matrix`` fills them in that order.
+    The cyclic-product coordinates are Pi{i}_{row}_{col} (1-indexed).
     """
 
     def __init__(self, n: int, r: int):
@@ -92,24 +93,27 @@ class ParabolicShape:
             raise ValueError("need 1 <= r <= n-1")
         self.n = n
         self.r = r
+        self._positions = tuple(
+            (i, j) for i in range(n) for j in range(n) if not (i >= r and j < r)
+        )
 
-    def positions(self) -> List[Tuple[int, int]]:
+    def positions(self) -> Tuple[Tuple[int, int], ...]:
         """Row-major coordinates of the (possibly) nonzero entries."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if not (i >= self.r and j < self.r):
-                    out.append((i, j))
-        return out
+        return self._positions
 
     def var_names(self, i: int) -> List[str]:
         return [f"Pi{i}_{a + 1}_{b + 1}" for a, b in self.positions()]
 
-    def symbolic_matrix(self, ring: PolyRing, i: int):
-        m = polymat.zeros(ring, self.n, self.n)
-        for a, b in self.positions():
-            m[a][b] = ring.var(f"Pi{i}_{a + 1}_{b + 1}")
+    def matrix(self, entries, zero):
+        """The n x n matrix holding ``entries`` at ``positions()``, in order,
+        and ``zero`` in the zero block."""
+        m = [[zero] * self.n for _ in range(self.n)]
+        for (a, b), x in zip(self.positions(), entries):
+            m[a][b] = x
         return m
+
+    def symbolic_matrix(self, ring: PolyRing, i: int):
+        return self.matrix(map(ring.var, self.var_names(i)), ring.zero)
 
     def in_shape(self, mat) -> bool:
         """Whether the zero block of ``mat`` is zero; the entries may be

@@ -63,16 +63,14 @@ def character_data(n: int, r: int, N: int) -> CharacterData:
             raise AssertionError("pi/delta fell outside the index set")
         pis.append(p)
         deltas.append(d)
-    chi = [0] * len(S)
-    for p, d in zip(pis, deltas):
-        chi[pos[p]] += 1
-        chi[pos[d]] -= 1
     relations = []
     for p, d in zip(pis, deltas):
         row = [0] * len(S)
         row[pos[p]] += 1
         row[pos[d]] -= 1
         relations.append(row)
+    # chi is the sum of the relation characters e_pi - e_delta
+    chi = [sum(col) for col in zip(*relations)]
     data = CharacterData(
         n=n,
         r=r,

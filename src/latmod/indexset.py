@@ -29,12 +29,6 @@ class IndexElem:
         a, b = self.pairs[alpha]
         return a + b
 
-    def total_mass(self) -> int:
-        return sum(a + b for a, b in self.pairs)
-
-    def first_mass(self) -> int:
-        return sum(a for a, _ in self.pairs)
-
     def flat(self) -> Tuple[int, ...]:
         return tuple(x for p in self.pairs for x in p)
 

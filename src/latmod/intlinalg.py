@@ -111,40 +111,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self[i, j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
 
 @dataclass(frozen=True)
 class SnfResult:
@@ -158,21 +124,6 @@ class SnfResult:
     D: IntMatrix
     V: IntMatrix
     invariants: Tuple[int, ...]
-
-    def verify(self, A: IntMatrix) -> bool:
-        if self.U * A * self.V != self.D:
-            return False
-        if abs(self.U.det()) != 1 or abs(self.V.det()) != 1:
-            return False
-        if not self.D.is_diagonal():
-            return False
-        inv = list(self.invariants)
-        for a, b in zip(inv, inv[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        return True
 
 
 def snf(A: IntMatrix) -> SnfResult:

@@ -20,19 +20,17 @@ from .poly import MultiPoly, PolyRing, QQ
 from .schemes import mu_ideal
 
 
-def _adjugate(M, ring: PolyRing):
+def _adjugate(M):
+    """adj(M)[i][j] = (-1)^(i+j) times the minor of M without row j and
+    column i.  ``minors`` lists the (n-1)-subsets in lex order, so the
+    subset without k comes (n-1-k)-th; read backwards, the minor without
+    row j and column i sits at j*n + i."""
     n = len(M)
-    if n == 1:
-        return [[ring.one]]
-    out = polymat.zeros(ring, n, n)
-    for i in range(n):
-        for j in range(n):
-            rows = tuple(k for k in range(n) if k != j)
-            cols = tuple(k for k in range(n) if k != i)
-            sub = [[M[a][b] for b in cols] for a in rows]
-            m = minors(sub, n - 1)[0]
-            out[i][j] = m if (i + j) % 2 == 0 else -m
-    return out
+    rev = minors(M, n - 1)[::-1]
+    return [
+        [rev[j * n + i] if (i + j) % 2 == 0 else -rev[j * n + i] for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _parabolic_inverse(g, ring: PolyRing, shape: ParabolicShape, ua: MultiPoly, uc: MultiPoly):
@@ -44,8 +42,8 @@ def _parabolic_inverse(g, ring: PolyRing, shape: ParabolicShape, ua: MultiPoly, 
     """
     n, r = shape.n, shape.r
     A, B, C = shape.blocks(g)
-    Ainv = polymat.map_entries(_adjugate(A, ring), lambda x: x * ua)
-    Cinv = polymat.map_entries(_adjugate(C, ring), lambda x: x * uc)
+    Ainv = polymat.map_entries(_adjugate(A), lambda x: x * ua)
+    Cinv = polymat.map_entries(_adjugate(C), lambda x: x * uc)
     topright = polymat.map_entries(
         polymat.matmul(polymat.matmul(Ainv, B), Cinv), lambda x: -x
     )
@@ -67,10 +65,10 @@ class OpenCellSymbols:
     def __init__(self, n: int, r: int, N: int):
         self.n, self.r, self.N = n, r, N
         shape = ParabolicShape(n, r)
-        names: List[str] = []
-        for i in range(N + 1):
-            for a, b in shape.positions():
-                names.append(f"g{i}_{a + 1}_{b + 1}")
+        layout = [
+            [f"g{i}_{a + 1}_{b + 1}" for a, b in shape.positions()] for i in range(N + 1)
+        ]
+        names = [v for gnames in layout for v in gnames]
         for i in range(N + 1):
             names.extend([f"lp{i}", f"ld{i}"])
         for i in range(N + 1):
@@ -79,12 +77,7 @@ class OpenCellSymbols:
         self.ring = PolyRing(QQ, names)
         ring = self.ring
         self.shape = shape
-        self.g = []
-        for i in range(N + 1):
-            m = polymat.zeros(ring, n, n)
-            for a, b in shape.positions():
-                m[a][b] = ring.var(f"g{i}_{a + 1}_{b + 1}")
-            self.g.append(m)
+        self.g = [shape.matrix(map(ring.var, gnames), ring.zero) for gnames in layout]
         rels: List[MultiPoly] = []
         self.ginv = []
         for i in range(N + 1):
@@ -139,8 +132,9 @@ def open_cell_factors_through_mu(n: int, r: int, N: int) -> bool:
     t = sym.t_value()
     mapping: Dict[str, MultiPoly] = {"t": t}
     for i in range(N + 1):
-        for a, b in sym.shape.positions():
-            mapping[f"Pi{i}_{a + 1}_{b + 1}"] = Pi[i][a][b]
+        mapping.update(
+            zip(sym.shape.var_names(i), (Pi[i][a][b] for a, b in sym.shape.positions()))
+        )
     for gen in mu.generators:
         image = gen.subs(mapping)
         if not sym.relations.normal_form(image).is_zero():

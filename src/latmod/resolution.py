@@ -334,21 +334,15 @@ def sigma_fiber_freecount(g: int) -> FiberCensus:
     if g < 1:
         raise ValueError("need g >= 1")
     names = [f"a{i}" for i in range(g + 1)]
-    ring = PolyRing(QQ, names + _pairing_unknowns(g))
+    unknowns = _pairing_unknowns(g)
+    ring = PolyRing(QQ, names + unknowns)
     rels = _pairing_relations(ring, g)
     subs, log = _eliminate(ring, rels)
     # flatten substitutions and re-verify every relation reduces to zero
     for family, i, j, rel in rels:
         if not _reduce_expr(rel, subs).is_zero():
             raise AssertionError(f"family {family} ({i},{j}) failed to reduce")
-    free = [
-        f"JN_1_{i}_{j}" for i in range(1, g + 1) for j in range(i, g + 1)
-    ]
-    free += [f"J0_3_{i}_{j}" for i in range(1, g + 1) for j in range(i + 1, g + 1)]
-    free += [f"JN_3_{i}_{j}" for i in range(1, g + 1) for j in range(i + 1, g + 1)]
-    for name in free:
-        if name in subs:
-            raise AssertionError(f"free coordinate {name} was eliminated")
+    free = [name for name in unknowns if name not in subs]
     return FiberCensus(
         g=g,
         free_count=len(free),

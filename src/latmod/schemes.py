@@ -23,17 +23,8 @@ from .poly import Field, MultiPoly, PolyRing, QQ
 # -- core cyclic-product ideals ------------------------------------------------
 
 def _dedupe(gens: Sequence[MultiPoly]) -> List[MultiPoly]:
-    seen = set()
-    out = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        key = frozenset(g.terms.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(g)
-    return out
+    """The nonzero generators, first occurrences only, in order."""
+    return [g for g in dict.fromkeys(gens) if not g.is_zero()]
 
 
 def mu_ring(n: int, r: int, N: int, field: Field = QQ) -> PolyRing:
@@ -82,18 +73,12 @@ def faltings_mu_ideal(r: int, N: int) -> ChartIdeal:
     """Full-matrix variant: N+1 unconstrained r x r matrices, parameter t."""
     if r < 1:
         raise ValueError("need r >= 1")
-    names: List[str] = []
-    for i in range(N + 1):
-        for a in range(r):
-            for b in range(r):
-                names.append(f"A{i}_{a + 1}_{b + 1}")
-    names.append("t")
-    ring = PolyRing(QQ, names)
-    mats = []
-    for i in range(N + 1):
-        mats.append(
-            [[ring.var(f"A{i}_{a + 1}_{b + 1}") for b in range(r)] for a in range(r)]
-        )
+    layout = [
+        [[f"A{i}_{a + 1}_{b + 1}" for b in range(r)] for a in range(r)]
+        for i in range(N + 1)
+    ]
+    ring = PolyRing(QQ, [v for m in layout for v in polymat.entries(m)] + ["t"])
+    mats = [polymat.map_entries(m, ring.var) for m in layout]
     gens = _cyclic_product_generators(mats, ring.var("t"), ring)
     return ChartIdeal(
         ideal=PolyIdeal(ring, gens),
@@ -175,20 +160,29 @@ def mu_chart_ideal(
 
 # -- chain local models ----------------------------------------------------------
 
+def _frame_names(spec: ChainSpec, pivots) -> List[List[List[str]]]:
+    """Per slot, the rows of frame coordinates w{i}_{row}_{col}; a pivot
+    row has none."""
+    return [
+        [
+            [] if a in piv else [f"w{i}_{a + 1}_{k + 1}" for k in range(spec.r)]
+            for a in range(spec.n)
+        ]
+        for i, piv in enumerate(pivots)
+    ]
+
+
 def _frames(ring: PolyRing, spec: ChainSpec, pivots) -> List[List[List[MultiPoly]]]:
-    n, r = spec.n, spec.r
-    frames = []
-    for i, piv in enumerate(pivots):
-        M = polymat.zeros(ring, n, r)
-        for k, p in enumerate(piv):
-            M[p][k] = ring.one
-        for a in range(n):
-            if a in piv:
-                continue
-            for k in range(r):
-                M[a][k] = ring.var(f"w{i}_{a + 1}_{k + 1}")
-        frames.append(M)
-    return frames
+    """Rank-r frames: the identity at the pivot rows, coordinates elsewhere."""
+    return [
+        [
+            [ring.var(v) for v in row]
+            if row
+            else [ring.one if p == a else ring.zero for p in piv]
+            for a, row in enumerate(rows)
+        ]
+        for piv, rows in zip(pivots, _frame_names(spec, pivots))
+    ]
 
 
 def _validate_pivots(spec: ChainSpec, pivots) -> List[Tuple[int, ...]]:
@@ -218,15 +212,8 @@ def local_model_ideal(
     """
     pivots = _validate_pivots(spec, pivots)
     n, r, N = spec.n, spec.r, spec.N
-    names: List[str] = []
-    for i, piv in enumerate(pivots):
-        for a in range(n):
-            if a in piv:
-                continue
-            for k in range(r):
-                names.append(f"w{i}_{a + 1}_{k + 1}")
-    names.append("t")
-    ring = PolyRing(QQ, names)
+    names = [v for rows in _frame_names(spec, pivots) for row in rows for v in row]
+    ring = PolyRing(QQ, names + ["t"])
     frames = _frames(ring, spec, pivots)
     gens: List[MultiPoly] = []
     for i in range(N + 1):
@@ -340,32 +327,31 @@ def sigma_ideal(g: int, N: int, field: Field = QQ) -> ChartIdeal:
         raise ValueError("need g >= 1")
     n = 2 * g
     base = mu_ideal(n, g, N, field)
-    jnames: List[str] = []
-    for tag in ("J0", "JN"):
-        for a in range(1, g + 1):
-            for b in range(1, g + 1):
-                jnames.append(f"{tag}_1_{a}_{b}")
-        for a in range(1, g + 1):
-            for b in range(a + 1, g + 1):
-                jnames.append(f"{tag}_3_{a}_{b}")
+    upper = [(a, b) for a in range(g) for b in range(a + 1, g)]
+    # per end slot: the J1 names (g x g) and the strict-upper J3 names
+    layout = [
+        (
+            [[f"{tag}_1_{a + 1}_{b + 1}" for b in range(g)] for a in range(g)],
+            [f"{tag}_3_{a + 1}_{b + 1}" for a, b in upper],
+        )
+        for tag in ("J0", "JN")
+    ]
+    jnames = [v for j1, j3 in layout for v in polymat.entries(j1) + j3]
     ring = base.ring.extend(jnames + ["ydet0", "ydetN"])
     shape = ParabolicShape(n, g)
     mats = [shape.symbolic_matrix(ring, i) for i in range(N + 1)]
 
-    def pairing_matrix(tag: str):
-        J1 = [[ring.var(f"{tag}_1_{a}_{b}") for b in range(1, g + 1)] for a in range(1, g + 1)]
+    def pairing_matrix(j1_names, j3_names):
+        J1 = polymat.map_entries(j1_names, ring.var)
         J3 = polymat.zeros(ring, g, g)
-        for a in range(1, g + 1):
-            for b in range(a + 1, g + 1):
-                v = ring.var(f"{tag}_3_{a}_{b}")
-                J3[a - 1][b - 1] = v
-                J3[b - 1][a - 1] = -v
-        top = [polymat.zeros(ring, g, g)[i] + J1[i] for i in range(g)]
+        for (a, b), name in zip(upper, j3_names):
+            J3[a][b] = ring.var(name)
+            J3[b][a] = -J3[a][b]
+        top = [[ring.zero] * g + J1[i] for i in range(g)]
         bot = [[-J1[b][a] for b in range(g)] + J3[a] for a in range(g)]
         return top + bot
 
-    J0 = pairing_matrix("J0")
-    JN = pairing_matrix("JN")
+    J0, JN = (pairing_matrix(*names) for names in layout)
     gens = [gg.map_ring(ring) for gg in base.generators]
     prod = mats[0]
     for k in range(1, N):
@@ -458,8 +444,9 @@ def apply_symplectic_involution(chart: ChartIdeal) -> ChartIdeal:
         target = polymat.matmul(polymat.matmul(Jinvp, transposed), Jp)
         if not shape.in_shape(target):
             raise ShapeViolation(f"involution image of Pi{sigma[i]} leaves the shape")
-        for a, b in shape.positions():
-            mapping[f"Pi{i}_{a + 1}_{b + 1}"] = target[a][b]
+        mapping.update(
+            zip(shape.var_names(i), (target[a][b] for a, b in shape.positions()))
+        )
     gens = [gg.subs({**mapping, "t": ring.var("t")}) for gg in chart.generators]
     return ChartIdeal(
         ideal=PolyIdeal(ring, gens, chart.ideal.order),
@@ -485,6 +472,4 @@ def generators_match_up_to_sign(a: Sequence[MultiPoly], b: Sequence[MultiPoly]) 
 
 
 def generators_match_exactly(a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> bool:
-    return {frozenset(g.terms.items()) for g in a} == {
-        frozenset(g.terms.items()) for g in b
-    }
+    return set(a) == set(b)

@@ -24,7 +24,6 @@ from .characters import (
     kernel_is_torus_check,
     quotient_by_subtorus_check,
 )
-from .chart import ChartIdeal
 from .errors import NormalFormFailure
 from .gfq import SmallField, mat_rank
 from .ideals import PolyIdeal, dimension, saturate
@@ -39,6 +38,7 @@ from .resolution import (
 from .schemes import (
     apply_cyclic_shift,
     apply_symplectic_involution,
+    faltings_mu_ideal,
     generators_match_exactly,
     generators_match_up_to_sign,
     mu_ideal,
@@ -155,18 +155,16 @@ def _mu_chart_points(spec: ChainSpec, q: int):
     is kept."""
     mu = mu_ideal(spec.n, spec.r, spec.N)
     coords = [v for v in mu.ring.names if v != "t"]
-    positions = ParabolicShape(spec.n, spec.r).positions()
-    width = len(positions)
+    shape = ParabolicShape(spec.n, spec.r)
+    width = len(shape.positions())
     bounds = [spec.n - spec.step(i) for i in range(spec.N + 1)]
     field, sf = GF(q), SmallField(q, 1)
     for tau in range(q):
         for values in enumerate_points(mu.generators, [], coords, sf, {"t": tau}):
-            mats = []
-            for i in range(spec.N + 1):
-                m = [[0] * spec.n for _ in range(spec.n)]
-                for k, (a, b) in enumerate(positions):
-                    m[a][b] = values[i * width + k]
-                mats.append(m)
+            mats = [
+                shape.matrix(values[i * width : (i + 1) * width], 0)
+                for i in range(spec.N + 1)
+            ]
             if tau or all(mat_rank(m, field) >= b for m, b in zip(mats, bounds)):
                 yield mats, tau
 
@@ -291,30 +289,14 @@ def check_torsion_idempotent(params: Dict, seed: int) -> Tuple[bool, Dict]:
 
 
 def check_blowup_principal(params: Dict, seed: int) -> Tuple[bool, Dict]:
-    """Two-stage blowup tower of the end-block system at g = 2: centers
-    are the entries of each diagonal block; the pulled-back center must
-    be principal on every nonempty chart."""
+    """Two-stage blowup tower of the end-block system BC = CB = t Id, the
+    full-matrix scheme with two g x g matrices: the centers are the
+    entries of B, then those of C; the pulled-back center must be
+    principal on every nonempty chart."""
     g = int(params.get("g", 2))
-    names = (
-        [f"b{i}_{j}" for i in range(g) for j in range(g)]
-        + [f"c{i}_{j}" for i in range(g) for j in range(g)]
-        + ["t"]
-    )
-    ring = PolyRing(QQ, names)
-    B = [[ring.var(f"b{i}_{j}") for j in range(g)] for i in range(g)]
-    C = [[ring.var(f"c{i}_{j}") for j in range(g)] for i in range(g)]
-    from . import polymat
-
-    tid = polymat.identity(ring, g, ring.var("t"))
-    gens = polymat.entries(polymat.matsub(polymat.matmul(B, C), tid))
-    gens += polymat.entries(polymat.matsub(polymat.matmul(C, B), tid))
-    base = ChartIdeal(
-        ideal=PolyIdeal(ring, [p for p in gens if not p.is_zero()]),
-        provenance=f"end_block_system(g={g})",
-        meta={"kind": "end_blocks", "g": g},
-    )
-    center_b = polymat.entries(B)
-    center_c = polymat.entries(C)
+    base = faltings_mu_ideal(g, 1)
+    coords = base.ring.gens()
+    center_b, center_c = coords[: g * g], coords[g * g : 2 * g * g]
     nonempty = 0
     empty = 0
     ok = True

@@ -1,10 +1,13 @@
+from itertools import permutations
+
 import pytest
 
 from latmod import polymat
 from latmod.chains import ChainSpec, ParabolicShape, shift_matrix_power
 from latmod.ideals import PolyIdeal, dimension, ideal_contains_one
+from latmod.opencell import _adjugate
 from latmod.poly import GF, PolyRing, QQ
-from latmod.schemes import faltings_mu_ideal, mu_chart_ideal, mu_ideal
+from latmod.schemes import faltings_mu_ideal, mu_chart_ideal, mu_ideal, mu_ring
 
 from polyeval import evaluate
 
@@ -50,6 +53,48 @@ def test_parabolic_shape_closed_under_product():
         m1[a][b] = ring.var(f"g1_{a + 1}_{b + 1}")
     prod = polymat.matmul(m0, m1)
     assert shape.in_shape(prod)
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_parabolic_matrix_round_trip(n, r):
+    shape = ParabolicShape(n, r)
+    positions = shape.positions()
+    values = list(range(1, len(positions) + 1))
+    m = shape.matrix(values, 0)
+    assert [m[a][b] for a, b in positions] == values
+    assert len(positions) == n * n - r * (n - r)
+    assert all(m[i][j] == 0 for i in range(r, n) for j in range(r))
+    ring = mu_ring(n, r, 1)
+    sym = shape.symbolic_matrix(ring, 1)
+    assert [sym[a][b] for a, b in positions] == [ring.var(v) for v in shape.var_names(1)]
+    assert shape.in_shape(sym)
+
+
+def _leibniz_det(M):
+    """det M as the signed sum over permutations, sharing no code with
+    ``minors``."""
+    n = len(M)
+    ring = M[0][0].ring
+    total = ring.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ring.const((-1) ** inversions)
+        for i, p in enumerate(perm):
+            term = term * M[i][p]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjugate_times_matrix_is_det(n):
+    """adj(M) M = M adj(M) = det(M) Id on a generic symbolic n x n matrix;
+    the open-cell checks invert blocks of size at most 2 only."""
+    ring = PolyRing(QQ, [f"m{i}_{j}" for i in range(n) for j in range(n)])
+    M = [[ring.var(f"m{i}_{j}") for j in range(n)] for i in range(n)]
+    adj = _adjugate(M)
+    scalar = polymat.identity(ring, n, _leibniz_det(M))
+    assert polymat.matmul(adj, M) == scalar
+    assert polymat.matmul(M, adj) == scalar
 
 
 def test_chain_spec_validation():

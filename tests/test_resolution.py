@@ -1,5 +1,6 @@
 import pytest
 
+from latmod import polymat
 from latmod.chart import ChartIdeal
 from latmod.ideals import PolyIdeal, ideal_contains_one, saturate
 from latmod.poly import PolyRing, QQ
@@ -10,6 +11,7 @@ from latmod.resolution import (
     kill_t_torsion,
     sigma_fiber_freecount,
 )
+from latmod.schemes import faltings_mu_ideal
 from latmod.suite import check_blowup_principal, torsion_test_corpus
 
 
@@ -130,6 +132,35 @@ def test_fiber_census_free_variables():
 def test_census_groebner_crosscheck():
     assert census_groebner_crosscheck(1)
     assert census_groebner_crosscheck(2)
+
+
+def _end_block_generators(g):
+    """Reference: the end-block system BC = CB = t Id over QQ[B, C, t],
+    built entry by entry with the coordinates of B, then of C, then t."""
+    names = (
+        [f"b{i}_{j}" for i in range(g) for j in range(g)]
+        + [f"c{i}_{j}" for i in range(g) for j in range(g)]
+        + ["t"]
+    )
+    ring = PolyRing(QQ, names)
+    B = [[ring.var(f"b{i}_{j}") for j in range(g)] for i in range(g)]
+    C = [[ring.var(f"c{i}_{j}") for j in range(g)] for i in range(g)]
+    tid = polymat.identity(ring, g, ring.var("t"))
+    gens = polymat.entries(polymat.matsub(polymat.matmul(B, C), tid))
+    gens += polymat.entries(polymat.matsub(polymat.matmul(C, B), tid))
+    return [p for p in gens if not p.is_zero()]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_blowup_base_is_faltings_mu(g):
+    """The blowup check's base, faltings_mu_ideal(g, 1), is the end-block
+    system term for term and in order; at g = 1 the products BC and CB
+    coincide and appear once."""
+    reference = list(dict.fromkeys(_end_block_generators(g)))
+    faltings = faltings_mu_ideal(g, 1)
+    assert faltings.ring.nvars == 2 * g * g + 1
+    assert faltings.ring.names[-1] == "t"
+    assert [f.terms for f in faltings.generators] == [f.terms for f in reference]
 
 
 def test_blowup_tower_principal_g2():
