@@ -65,48 +65,39 @@ class OpenCellSymbols:
     def __init__(self, n: int, r: int, N: int):
         self.n, self.r, self.N = n, r, N
         shape = ParabolicShape(n, r)
-        layout = [
-            [f"g{i}_{a + 1}_{b + 1}" for a, b in shape.positions()] for i in range(N + 1)
-        ]
-        names = [v for gnames in layout for v in gnames]
-        for i in range(N + 1):
-            names.extend([f"lp{i}", f"ld{i}"])
-        for i in range(N + 1):
-            names.extend([f"ua{i}", f"uc{i}", f"uld{i}"])
-        names.extend(["s", "us"])  # spare unit for the rescaling check
-        self.ring = PolyRing(QQ, names)
-        ring = self.ring
+        slots = range(N + 1)
+        layout = [[f"g{i}_{a + 1}_{b + 1}" for a, b in shape.positions()] for i in slots]
+        lam = [(f"lp{i}", f"ld{i}") for i in slots]
+        units = [(f"ua{i}", f"uc{i}", f"uld{i}") for i in slots]
+        names = [v for block in (layout, lam, units) for row in block for v in row]
+        # s and us: a spare unit for the rescaling check
+        self.ring = ring = PolyRing(QQ, names + ["s", "us"])
         self.shape = shape
         self.g = [shape.matrix(map(ring.var, gnames), ring.zero) for gnames in layout]
+        self.lp, ld = ([ring.var(pair[k]) for pair in lam] for k in range(2))
+        ua, uc, self.uld = ([ring.var(u[k]) for u in units] for k in range(3))
+        self.s, self.us = ring.var("s"), ring.var("us")
         rels: List[MultiPoly] = []
         self.ginv = []
-        for i in range(N + 1):
+        for i in slots:
             A, _, C = shape.blocks(self.g[i])
-            detA = minors(A, r)[0]
-            detC = minors(C, n - r)[0]
-            ua = ring.var(f"ua{i}")
-            uc = ring.var(f"uc{i}")
-            rels.append(ua * detA - 1)
-            rels.append(uc * detC - 1)
-            rels.append(ring.var(f"uld{i}") * ring.var(f"ld{i}") - 1)
-            self.ginv.append(_parabolic_inverse(self.g[i], ring, shape, ua, uc))
-        rels.append(ring.var("us") * ring.var("s") - 1)
+            rels.append(ua[i] * minors(A, r)[0] - 1)
+            rels.append(uc[i] * minors(C, n - r)[0] - 1)
+            rels.append(self.uld[i] * ld[i] - 1)
+            self.ginv.append(_parabolic_inverse(self.g[i], ring, shape, ua[i], uc[i]))
+        rels.append(self.us * self.s - 1)
         self.relations = PolyIdeal(ring, rels)
 
     def pi_matrices(self, scale_slot: int | None = None):
         """The substituted matrices; optionally rescale one slot's lambda
         pair by the spare unit s."""
-        ring = self.ring
         out = []
         for i in range(self.N + 1):
-            lp = ring.var(f"lp{i}")
-            uld = ring.var(f"uld{i}")
-            ratio_num = lp
-            ratio_inv = uld
+            ratio_num, ratio_inv = self.lp[i], self.uld[i]
             if scale_slot == i:
                 # (s * lp) / (s * ld): inverse of s*ld is us * uld
-                ratio_num = ring.var("s") * lp
-                ratio_inv = ring.var("us") * uld
+                ratio_num = self.s * ratio_num
+                ratio_inv = self.us * ratio_inv
             m = polymat.matmul(self.g[i], self.ginv[(i + 1) % (self.N + 1)])
             out.append(
                 polymat.map_entries(m, lambda x: x * ratio_num * ratio_inv)
@@ -114,12 +105,11 @@ class OpenCellSymbols:
         return out
 
     def t_value(self, scale_slot: int | None = None) -> MultiPoly:
-        ring = self.ring
-        t = ring.one
+        t = self.ring.one
         for i in range(self.N + 1):
-            t = t * ring.var(f"lp{i}") * ring.var(f"uld{i}")
+            t = t * self.lp[i] * self.uld[i]
             if scale_slot == i:
-                t = t * ring.var("s") * ring.var("us")
+                t = t * self.s * self.us
         return t
 
 

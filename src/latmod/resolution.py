@@ -10,6 +10,7 @@ stated order leaves g(3g-1)/2 free coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Dict, List, Sequence, Tuple
 
 from . import polymat
@@ -65,16 +66,8 @@ def blowup_chart(
     for f in center:
         if f.ring != ring:
             raise ValueError("center generators must live in the base ring")
-    ratio_names = []
-    fresh = 0
-    for j in range(len(center)):
-        if j == k:
-            ratio_names.append("")
-            continue
-        while f"u{fresh}" in ring.index or f"u{fresh}" in ratio_names:
-            fresh += 1
-        ratio_names.append(f"u{fresh}")
-        fresh += 1
+    fresh = (name for name in map("u{}".format, count()) if name not in ring.index)
+    ratio_names = ["" if j == k else next(fresh) for j in range(len(center))]
     ext = ring.extend([nm for nm in ratio_names if nm])
     gens = [g.map_ring(ext) for g in base.generators]
     fk = center[k].map_ring(ext)
@@ -184,7 +177,7 @@ class DiagonalChartData:
 def diagonal_chart_ideals(g: int) -> DiagonalChartData:
     if g < 1:
         raise ValueError("need g >= 1")
-    ring = PolyRing(QQ, [f"a{i}" for i in range(g + 1)] + ["t"])
+    ring = PolyRing(QQ, [_a(i) for i in range(g + 1)] + ["t"])
     return DiagonalChartData(
         g=g,
         ring=ring,
@@ -222,11 +215,22 @@ class FiberCensus:
         return out
 
 
+def _a(k: int) -> str:
+    """Name of the diagonal coordinate a_k."""
+    return f"a{k}"
+
+
+def _j(tag: str, i: int, j: int) -> str:
+    """Name of entry (i, j), 1-based, of the pairing unknown ``tag``:
+    J0_1, JN_1 (the J1 blocks) or J0_3, JN_3 (the J3 blocks)."""
+    return f"{tag}_{i}_{j}"
+
+
 def _a_monomial(ring: PolyRing, lo: int, hi: int) -> MultiPoly:
     """a_lo * a_{lo+1} * ... * a_{hi-1} (empty product = 1)."""
     out = ring.one
     for k in range(lo, hi):
-        out = out * ring.var(f"a{k}")
+        out = out * ring.var(_a(k))
     return out
 
 
@@ -235,22 +239,16 @@ def _j3(ring: PolyRing, tag: str, i: int, j: int) -> MultiPoly:
     if i == j:
         return ring.zero
     if i < j:
-        return ring.var(f"{tag}_{i}_{j}")
-    return -ring.var(f"{tag}_{j}_{i}")
+        return ring.var(_j(tag, i, j))
+    return -ring.var(_j(tag, j, i))
 
 
 def _pairing_unknowns(g: int) -> List[str]:
     """J1[0], J1[N] (all entries), then J3[0], J3[N] (strict upper)."""
-    names: List[str] = []
-    for tag in ("J0_1", "JN_1"):
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                names.append(f"{tag}_{i}_{j}")
-    for tag in ("J0_3", "JN_3"):
-        for i in range(1, g + 1):
-            for j in range(i + 1, g + 1):
-                names.append(f"{tag}_{i}_{j}")
-    return names
+    span = range(1, g + 1)
+    return [_j(tag, i, j) for tag in ("J0_1", "JN_1") for i in span for j in span] + [
+        _j(tag, i, j) for tag in ("J0_3", "JN_3") for i in span for j in span if i < j
+    ]
 
 
 Relation = Tuple[int, int, int, MultiPoly]  # (family, i, j, polynomial)
@@ -264,21 +262,23 @@ def _pairing_relations(ring: PolyRing, g: int) -> List[Relation]:
     Family 3 (i <= j):  J1[N]^i_j + J1[0]^j_i - a_0...a_{i-1} J3[N]^i_j
                           + a_j...a_g J3[0]^i_j
     """
-    var = ring.var
+    def var(tag: str, i: int, j: int) -> MultiPoly:
+        return ring.var(_j(tag, i, j))
+
     rels = []
     for i in range(1, g + 1):
         for j in range(i, g + 1):
-            rel = var(f"J0_1_{i}_{j}") + _a_monomial(ring, i, j) * var(f"JN_1_{i}_{j}")
+            rel = var("J0_1", i, j) + _a_monomial(ring, i, j) * var("JN_1", i, j)
             rels.append((1, i, j, rel))
     for i in range(1, g + 1):
         for j in range(1, i + 1):
-            rel = var(f"JN_1_{i}_{j}") + _a_monomial(ring, j, i) * var(f"J0_1_{i}_{j}")
+            rel = var("JN_1", i, j) + _a_monomial(ring, j, i) * var("J0_1", i, j)
             rels.append((2, i, j, rel))
     for i in range(1, g + 1):
         for j in range(i, g + 1):
             rel = (
-                var(f"JN_1_{i}_{j}")
-                + var(f"J0_1_{j}_{i}")
+                var("JN_1", i, j)
+                + var("J0_1", j, i)
                 - _a_monomial(ring, 0, i) * _j3(ring, "JN_3", i, j)
                 + _a_monomial(ring, j, g + 1) * _j3(ring, "J0_3", i, j)
             )
@@ -310,7 +310,7 @@ def _eliminate(
     for family, i, j, rel in rels:
         if family == 1 or i != j:
             # solve for the eliminated variable, whose coefficient is 1
-            var = {1: f"J0_1_{i}_{j}", 2: f"JN_1_{i}_{j}", 3: f"J0_1_{j}_{i}"}[family]
+            var = {1: _j("J0_1", i, j), 2: _j("JN_1", i, j), 3: _j("J0_1", j, i)}[family]
             solved = ring.var(var) - rel
             subs[var] = _reduce_expr(solved, subs) if family == 3 else solved
             log.append(RelationLogEntry(family, i, j, "eliminated", var))
@@ -333,7 +333,7 @@ def sigma_fiber_freecount(g: int) -> FiberCensus:
     """
     if g < 1:
         raise ValueError("need g >= 1")
-    names = [f"a{i}" for i in range(g + 1)]
+    names = [_a(i) for i in range(g + 1)]
     unknowns = _pairing_unknowns(g)
     ring = PolyRing(QQ, names + unknowns)
     rels = _pairing_relations(ring, g)
@@ -359,14 +359,12 @@ def census_groebner_crosscheck(g: int) -> bool:
     inverted, as on the Laurent chart) must contain every graph
     polynomial and vice versa.
     """
-    names = [f"a{i}" for i in range(g + 1)]
+    names = [_a(i) for i in range(g + 1)]
     jnames = _pairing_unknowns(g)
     inv_names = [f"ainv{i}" for i in range(g + 1)]
     ring = PolyRing(QQ, jnames + names + inv_names)
     rels = [rel for _, _, _, rel in _pairing_relations(ring, g)]
-    laurent = [
-        ring.var(f"ainv{i}") * ring.var(f"a{i}") - 1 for i in range(g + 1)
-    ]
+    laurent = [ring.var(inv) * ring.var(a) - 1 for a, inv in zip(names, inv_names)]
     relation_ideal = PolyIdeal(ring, rels + laurent)
     # substitution graph with every expression fully substituted, mapped
     # into the big ring

@@ -160,7 +160,7 @@ def mu_chart_ideal(
 
 # -- chain local models ----------------------------------------------------------
 
-def _frame_names(spec: ChainSpec, pivots) -> List[List[List[str]]]:
+def frame_names(spec: ChainSpec, pivots) -> List[List[List[str]]]:
     """Per slot, the rows of frame coordinates w{i}_{row}_{col}; a pivot
     row has none."""
     return [
@@ -181,7 +181,7 @@ def _frames(ring: PolyRing, spec: ChainSpec, pivots) -> List[List[List[MultiPoly
             else [ring.one if p == a else ring.zero for p in piv]
             for a, row in enumerate(rows)
         ]
-        for piv, rows in zip(pivots, _frame_names(spec, pivots))
+        for piv, rows in zip(pivots, frame_names(spec, pivots))
     ]
 
 
@@ -212,7 +212,7 @@ def local_model_ideal(
     """
     pivots = _validate_pivots(spec, pivots)
     n, r, N = spec.n, spec.r, spec.N
-    names = [v for rows in _frame_names(spec, pivots) for row in rows for v in row]
+    names = [v for rows in frame_names(spec, pivots) for row in rows for v in row]
     ring = PolyRing(QQ, names + ["t"])
     frames = _frames(ring, spec, pivots)
     gens: List[MultiPoly] = []

@@ -16,6 +16,7 @@ from .errors import ResourceLimitError
 from .gfq import SmallField, mat_mul, mat_rank
 from .ideals import PolyIdeal, dimension, ideal_contains_one, jacobian, minors
 from .poly import Field, GF, MultiPoly
+from .schemes import frame_names, local_model_ideal
 
 
 # -- Jacobian smoothness ------------------------------------------------------------
@@ -370,71 +371,30 @@ def chain_subspace_count(spec: ChainSpec, q: int, t_value: int) -> int:
     return count
 
 
-def canonical_pivots(M, field: Field) -> Tuple[int, ...]:
-    """Ownership rule for gluing: the pivot rows found scanning from the
-    largest row index down (largest-pivot-first)."""
-    n = len(M)
-    r = len(M[0])
-    chosen: List[int] = []
-    rows_so_far: List[List[int]] = []
-    base_rank = 0
-    for i in range(n - 1, -1, -1):
-        if base_rank == r:
-            break
-        cand = rows_so_far + [list(M[i])]
-        rk = mat_rank(cand, field)
-        if rk > base_rank:
-            rows_so_far = cand
-            base_rank = rk
-            chosen.append(i)
-    return tuple(sorted(chosen))
-
-
 def glued_local_model_count(spec: ChainSpec, q: int, t_value: int) -> int:
     """Projective count assembled from the pivot charts with ownership.
 
-    Every tuple of frames is counted in exactly one chart: the one whose
-    pivot sets match the canonical (largest-first) pivots of each frame.
+    Ownership: every tuple of frames is counted in exactly one chart, the
+    one whose pivot sets are the canonical pivots of each frame (the rows
+    that raise the rank, scanning from the largest row index down).  A
+    frame M with the identity at pivot rows p_1 < ... < p_r has exactly
+    those canonical pivots if and only if M[a][k] = 0 for every non-pivot
+    row a > p_k: row a is skipped exactly when it lies in the span of the
+    rows below it, which is <e_k : p_k > a>.  So each chart contributes
+    the points of its ideal (``enumerate_points``) with t = t_value and
+    those ownership coordinates fixed at 0.
     """
-    field = GF(q)
-    n, r, N = spec.n, spec.r, spec.N
-    shifts = [
-        shift_matrix_value(n, spec.step(i), t_value, field) for i in range(N + 1)
-    ]
+    sf = SmallField(q, 1)
     total = 0
-    all_pivots = list(combinations(range(n), r))
-    for combo in product(all_pivots, repeat=N + 1):
-        free_cells = [
-            [(i, k) for k in range(r) for i in range(n) if i not in combo[s]]
-            for s in range(N + 1)
-        ]
-        for assignment in product(
-            field.elements(), repeat=sum(len(fc) for fc in free_cells)
-        ):
-            frames = []
-            pos = 0
-            for s in range(N + 1):
-                M = [[0] * r for _ in range(n)]
-                for k, p in enumerate(combo[s]):
-                    M[p][k] = 1
-                for (i, k) in free_cells[s]:
-                    M[i][k] = assignment[pos]
-                    pos += 1
-                frames.append(M)
-            if any(mat_rank(frames[s], field) < r for s in range(N + 1)):
-                continue
-            if any(
-                canonical_pivots(frames[s], field) != combo[s] for s in range(N + 1)
-            ):
-                continue
-            ok = True
-            for i in range(N + 1):
-                img = mat_mul(shifts[i], frames[i], field)
-                if not subspace_contains(frames[(i - 1) % (N + 1)], img, field):
-                    ok = False
-                    break
-            if ok:
-                total += 1
+    for combo in product(combinations(range(spec.n), spec.r), repeat=spec.N + 1):
+        fixed = {"t": t_value % q}
+        for piv, rows in zip(combo, frame_names(spec, combo)):
+            for a, row in enumerate(rows):
+                fixed.update((name, 0) for name, p in zip(row, piv) if a > p)
+        chart = local_model_ideal(spec, combo)
+        coords = [v for v in chart.ring.names if v not in fixed]
+        points = enumerate_points(chart.generators, [], coords, sf, fixed)
+        total += sum(1 for _ in points)
     return total
 
 

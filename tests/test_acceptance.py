@@ -22,6 +22,14 @@ CRITERIA = {
     8: ("oracle cross-checks", ("s_set_count", "glued_count", "mu_dimension")),
 }
 
+# criterion 8's checks -> (params, true value): with ``expected`` one off the
+# true value, each must return a False verdict, so the criterion can fail
+PLANTED = {
+    "s_set_count": ({"n": 2, "r": 1, "N": 1}, 7),
+    "glued_count": ({"n": 2, "r": 1, "N": 1, "d": [1, 1], "q": 2, "tau": 0}, 5),
+    "mu_dimension": ({"n": 2, "r": 1, "N": 1}, 4),
+}
+
 MU_SPECS = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)]
 CHAIN_SPECS = [(2, 1, 1, (1, 1)), (3, 1, 1, (1, 2)), (3, 1, 1, (2, 1))]
 
@@ -177,3 +185,13 @@ def test_criterion_8_oracle_cross_checks():
     assert sorted((row.check, row.spec) for row in rows) == sorted(want)
     _report(8, all(row.verdict and row.details == want[row.check, row.spec]
                    for row in rows), t0)
+
+
+def test_criterion_8_rejects_planted_counterexamples():
+    """Every criterion-8 check fails its row when ``expected`` is off by
+    one, and passes it at the true value."""
+    assert set(PLANTED) == set(CRITERIA[8][1])
+    for name, (params, value) in PLANTED.items():
+        for expected, verdict in ((value - 1, False), (value, True), (value + 1, False)):
+            row = run_one({"name": name, "params": dict(params, expected=expected)})
+            assert row.verdict is verdict, (name, expected, row)

@@ -116,23 +116,3 @@ def test_symplectic_spec_validation():
     with pytest.raises(ValueError):
         symplectic_local_model_ideal(ChainSpec(2, 1, 1, (1, 1)))
 
-
-def test_glued_counts_match_direct_oracle():
-    from latmod.verify import chain_subspace_count, glued_local_model_count
-
-    spec = ChainSpec(2, 1, 1, (1, 1))
-    for q in (2, 3):
-        for tau in range(q):
-            glued = glued_local_model_count(spec, q, tau)
-            direct = chain_subspace_count(spec, q, tau)
-            assert glued == direct
-    # the recorded special-fiber values: two lines meeting at a point
-    assert chain_subspace_count(spec, 2, 0) == 5
-    assert chain_subspace_count(spec, 3, 0) == 7
-
-
-def test_glued_counts_n3():
-    from latmod.verify import chain_subspace_count, glued_local_model_count
-
-    spec = ChainSpec(3, 1, 1, (1, 2))
-    assert glued_local_model_count(spec, 2, 0) == chain_subspace_count(spec, 2, 0)

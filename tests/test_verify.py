@@ -386,19 +386,40 @@ def test_subspace_enumeration_counts():
     assert len(subspaces_of(4, 2, 2)) == 35
 
 
-def test_glued_equals_direct_on_test_families():
-    """Chart gluing with ownership vs direct enumeration (n = 2 and
-    n = 3, r = 1 families)."""
-    for (spec, q, tau) in [
-        (ChainSpec(2, 1, 1, (1, 1)), 2, 0),
-        (ChainSpec(2, 1, 1, (1, 1)), 2, 1),
-        (ChainSpec(2, 1, 1, (1, 1)), 3, 2),
-        (ChainSpec(3, 1, 1, (1, 2)), 2, 0),
-        (ChainSpec(3, 1, 1, (2, 1)), 2, 1),
-    ]:
-        assert glued_local_model_count(spec, q, tau) == chain_subspace_count(
-            spec, q, tau
-        )
+GLUED_SPECS = [
+    (2, 1, 1, (1, 1)),
+    (3, 1, 1, (1, 2)),
+    (3, 1, 1, (2, 1)),
+    (3, 2, 1, (1, 2)),
+    (3, 1, 2, (1, 1, 1)),
+    (3, 2, 2, (1, 1, 1)),
+]
+# the recorded special-fibre values of (2,1,1,(1,1)): two lines meeting at a point
+GLUED_PINNED = {((2, 1, 1, (1, 1)), 2, 0): 5, ((2, 1, 1, (1, 1)), 3, 0): 7}
+
+
+@pytest.mark.parametrize(
+    "spec,q,tau",
+    [
+        pytest.param(spec, q, tau, id="n{}r{}N{}d{}-q{}-t{}".format(
+            *spec[:3], "".join(map(str, spec[3])), q, tau))
+        for spec in GLUED_SPECS
+        for q in (2, 3)
+        for tau in range(q)
+    ],
+)
+def test_glued_equals_direct(spec, q, tau):
+    """Chart gluing with ownership vs direct enumeration of subspace chains."""
+    glued = glued_local_model_count(ChainSpec(*spec), q, tau)
+    assert glued == chain_subspace_count(ChainSpec(*spec), q, tau)
+    assert glued == GLUED_PINNED.get((spec, q, tau), glued)
+
+
+def test_glued_count_n4_special_fibre():
+    """(4,1,3,(1,1,1,1)) over F_2 at t = 0: 4q^3 + 6q^2 + 4q + 1 points."""
+    q = 2
+    count = glued_local_model_count(ChainSpec(4, 1, 3, (1, 1, 1, 1)), q, 0)
+    assert count == 4 * q**3 + 6 * q**2 + 4 * q + 1 == 65
 
 
 def reference_minor_candidates(nrows, ncols, c, hints):
