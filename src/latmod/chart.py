@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .ideals import PolyIdeal
 from .poly import Field, MultiPoly, PolyRing
@@ -33,6 +33,26 @@ class ChartIdeal:
     @property
     def generators(self) -> Tuple[MultiPoly, ...]:
         return self.ideal.generators
+
+    def derive(
+        self,
+        ideal: PolyIdeal,
+        step: str,
+        inverses: Sequence[Tuple[str, MultiPoly]] = (),
+        **meta,
+    ) -> "ChartIdeal":
+        """The chart ``ideal`` reached from this one by ``step``.
+
+        It keeps this chart's inverses, read in ``ideal.ring``, followed
+        by the new ones, and lays ``meta`` over this chart's meta.
+        """
+        carried = tuple((y, f.map_ring(ideal.ring)) for y, f in self.inverses)
+        return ChartIdeal(
+            ideal=ideal,
+            provenance=f"{self.provenance};{step}",
+            inverses=carried + tuple(inverses),
+            meta={**self.meta, **meta},
+        )
 
     def to_json(self, indent: Optional[int] = None) -> str:
         doc = {
@@ -62,6 +82,22 @@ class ChartIdeal:
             inverses=inverses,
             meta=doc.get("meta", {}),
         )
+
+
+def with_inverses(
+    ideal: PolyIdeal, pairs: Sequence[Tuple[str, MultiPoly]]
+) -> Tuple[PolyIdeal, Tuple[Tuple[str, MultiPoly], ...]]:
+    """Invert each f of ``pairs`` through its fresh variable y.
+
+    The ring gains the y's in order, and each relation y * f - 1 follows
+    the existing generators.  Returns the new ideal (same order and pair
+    cap) and the pairs read in its ring.
+    """
+    ring = ideal.ring.extend([y for y, _ in pairs])
+    mapped = tuple((y, f.map_ring(ring)) for y, f in pairs)
+    gens = [g.map_ring(ring) for g in ideal.generators]
+    gens += [ring.var(y) * f - 1 for y, f in mapped]
+    return PolyIdeal(ring, gens, ideal.order, ideal.pair_limit), mapped
 
 
 def _order_tag(order) -> object:

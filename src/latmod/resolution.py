@@ -14,9 +14,10 @@ from itertools import count
 from typing import Dict, List, Sequence, Tuple
 
 from . import polymat
-from .chart import ChartIdeal
+from .chart import ChartIdeal, with_inverses
 from .ideals import PolyIdeal, ideal_contains_one, minors, saturate
 from .poly import MultiPoly, PolyRing, QQ
+from .schemes import _j, _j3
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,12 @@ def blowup_chart(
     raw = PolyIdeal(ext, gens, pair_limit=base.ideal.pair_limit)
     saturated = saturate(raw, fk)
     empty = ideal_contains_one(saturated)
-    chart = ChartIdeal(
-        ideal=saturated,
-        provenance=f"{base.provenance};blowup(chart={k})",
-        inverses=base.inverses,
-        meta=dict(base.meta, blowup_chart=k),
-    )
     return BlowupChart(
         base=base,
         center=tuple(center),
         chart_index=k,
         ratio_vars=tuple(ratio_names),
-        chart=chart,
+        chart=base.derive(saturated, f"blowup(chart={k})", blowup_chart=k),
         empty=empty,
     )
 
@@ -100,12 +95,7 @@ def kill_t_torsion(chart: ChartIdeal) -> ChartIdeal:
     if "t" not in ring.index:
         raise ValueError("chart has no t in its dictionary")
     sat = saturate(chart.ideal, ring.var("t"))
-    return ChartIdeal(
-        ideal=sat,
-        provenance=f"{chart.provenance};kill_t_torsion",
-        inverses=chart.inverses,
-        meta=dict(chart.meta, t_torsion_killed=True),
-    )
+    return chart.derive(sat, "kill_t_torsion", t_torsion_killed=True)
 
 
 # -- the diagonal chart ----------------------------------------------------------
@@ -220,27 +210,12 @@ def _a(k: int) -> str:
     return f"a{k}"
 
 
-def _j(tag: str, i: int, j: int) -> str:
-    """Name of entry (i, j), 1-based, of the pairing unknown ``tag``:
-    J0_1, JN_1 (the J1 blocks) or J0_3, JN_3 (the J3 blocks)."""
-    return f"{tag}_{i}_{j}"
-
-
 def _a_monomial(ring: PolyRing, lo: int, hi: int) -> MultiPoly:
     """a_lo * a_{lo+1} * ... * a_{hi-1} (empty product = 1)."""
     out = ring.one
     for k in range(lo, hi):
         out = out * ring.var(_a(k))
     return out
-
-
-def _j3(ring: PolyRing, tag: str, i: int, j: int) -> MultiPoly:
-    """Entry (i, j) of the antisymmetric, zero-diagonal unknown ``tag``."""
-    if i == j:
-        return ring.zero
-    if i < j:
-        return ring.var(_j(tag, i, j))
-    return -ring.var(_j(tag, j, i))
 
 
 def _pairing_unknowns(g: int) -> List[str]:
@@ -361,24 +336,24 @@ def census_groebner_crosscheck(g: int) -> bool:
     """
     names = [_a(i) for i in range(g + 1)]
     jnames = _pairing_unknowns(g)
-    inv_names = [f"ainv{i}" for i in range(g + 1)]
-    ring = PolyRing(QQ, jnames + names + inv_names)
+    ring = PolyRing(QQ, jnames + names)
     rels = [rel for _, _, _, rel in _pairing_relations(ring, g)]
-    laurent = [ring.var(inv) * ring.var(a) - 1 for a, inv in zip(names, inv_names)]
-    relation_ideal = PolyIdeal(ring, rels + laurent)
     # substitution graph with every expression fully substituted, mapped
-    # into the big ring
+    # into the relation ring
     subs_ring = PolyRing(QQ, names + jnames)
     subs, _ = _eliminate(subs_ring, _pairing_relations(subs_ring, g))
     graph = [
         ring.var(var) - _reduce_expr(expr, subs).map_ring(ring)
         for var, expr in subs.items()
     ]
-    graph_ideal = PolyIdeal(ring, graph + laurent)
+    laurent = [(f"ainv{i}", ring.var(a)) for i, a in enumerate(names)]
+    relation_ideal, _ = with_inverses(PolyIdeal(ring, rels), laurent)
+    graph_ideal, _ = with_inverses(PolyIdeal(ring, graph), laurent)
+    ext = relation_ideal.ring
     for f in graph:
-        if not relation_ideal.contains(f):
+        if not relation_ideal.contains(f.map_ring(ext)):
             return False
     for f in rels:
-        if not graph_ideal.contains(f):
+        if not graph_ideal.contains(f.map_ring(ext)):
             return False
     return True

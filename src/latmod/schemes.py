@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import polymat
 from .chains import ChainSpec, ParabolicShape, shift_matrix_power
-from .chart import ChartIdeal
+from .chart import ChartIdeal, with_inverses
 from .errors import ShapeViolation
 from .ideals import PolyIdeal, minors
 from .intlinalg import IntMatrix
@@ -120,10 +120,8 @@ def mu_chart_ideal(
         minor_choices = default_minor_choices(spec)
     if len(minor_choices) != N + 1:
         raise ValueError(f"need one minor choice per slot ({N + 1})")
-    ring = base.ring.extend([f"y{i}" for i in range(N + 1)])
     shape = ParabolicShape(n, r)
-    mats = [shape.symbolic_matrix(ring, i) for i in range(N + 1)]
-    gens = [g.map_ring(ring) for g in base.generators]
+    mats = [shape.symbolic_matrix(base.ring, i) for i in range(N + 1)]
     inverses = []
     choices_meta = []
     for i, (rows, cols) in enumerate(minor_choices):
@@ -138,15 +136,13 @@ def mu_chart_ideal(
             raise ValueError("minor indices out of range")
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("minor indices must be distinct")
-        m = _submatrix_det(ring, mats[i], rows, cols)
-        y = ring.var(f"y{i}")
-        gens.append(y * m - 1)
-        inverses.append((f"y{i}", m))
+        inverses.append((f"y{i}", _submatrix_det(base.ring, mats[i], rows, cols)))
         choices_meta.append([list(rows), list(cols)])
+    ideal, inverses = with_inverses(base.ideal, inverses)
     return ChartIdeal(
-        ideal=PolyIdeal(ring, gens),
+        ideal=ideal,
         provenance=f"mu_chart(n={n},r={r},N={N},d={list(spec.d)})",
-        inverses=tuple(inverses),
+        inverses=inverses,
         meta={
             "kind": "mu_chart",
             "n": n,
@@ -313,6 +309,21 @@ def symplectic_local_model_ideal(
 
 # -- the symplectic pairing scheme ------------------------------------------------
 
+def _j(tag: str, i: int, j: int) -> str:
+    """Name of entry (i, j), 1-based, of the pairing unknown ``tag``:
+    J0_1, JN_1 (the J1 blocks) or J0_3, JN_3 (the J3 blocks)."""
+    return f"{tag}_{i}_{j}"
+
+
+def _j3(ring: PolyRing, tag: str, i: int, j: int) -> MultiPoly:
+    """Entry (i, j) of the antisymmetric, zero-diagonal unknown ``tag``."""
+    if i == j:
+        return ring.zero
+    if i < j:
+        return ring.var(_j(tag, i, j))
+    return -ring.var(_j(tag, j, i))
+
+
 def sigma_ideal(g: int, N: int, field: Field = QQ) -> ChartIdeal:
     """Cyclic product scheme for (2g, g) together with two unknown
     symplectic pairings on the end slots and the adjointness relation
@@ -327,31 +338,25 @@ def sigma_ideal(g: int, N: int, field: Field = QQ) -> ChartIdeal:
         raise ValueError("need g >= 1")
     n = 2 * g
     base = mu_ideal(n, g, N, field)
-    upper = [(a, b) for a in range(g) for b in range(a + 1, g)]
-    # per end slot: the J1 names (g x g) and the strict-upper J3 names
-    layout = [
-        (
-            [[f"{tag}_1_{a + 1}_{b + 1}" for b in range(g)] for a in range(g)],
-            [f"{tag}_3_{a + 1}_{b + 1}" for a, b in upper],
-        )
-        for tag in ("J0", "JN")
-    ]
-    jnames = [v for j1, j3 in layout for v in polymat.entries(j1) + j3]
-    ring = base.ring.extend(jnames + ["ydet0", "ydetN"])
+    span = range(1, g + 1)
+    tags = ("J0", "JN")
+    # per end slot: the J1 entries (g x g), then the strict-upper J3 entries
+    jnames = []
+    for tag in tags:
+        jnames += [_j(f"{tag}_1", a, b) for a in span for b in span]
+        jnames += [_j(f"{tag}_3", a, b) for a in span for b in span if a < b]
+    ring = base.ring.extend(jnames)
     shape = ParabolicShape(n, g)
     mats = [shape.symbolic_matrix(ring, i) for i in range(N + 1)]
 
-    def pairing_matrix(j1_names, j3_names):
-        J1 = polymat.map_entries(j1_names, ring.var)
-        J3 = polymat.zeros(ring, g, g)
-        for (a, b), name in zip(upper, j3_names):
-            J3[a][b] = ring.var(name)
-            J3[b][a] = -J3[a][b]
+    def pairing_matrix(tag):
+        J1 = [[ring.var(_j(f"{tag}_1", a, b)) for b in span] for a in span]
+        J3 = [[_j3(ring, f"{tag}_3", a, b) for b in span] for a in span]
         top = [[ring.zero] * g + J1[i] for i in range(g)]
         bot = [[-J1[b][a] for b in range(g)] + J3[a] for a in range(g)]
         return top + bot
 
-    J0, JN = (pairing_matrix(*names) for names in layout)
+    J0, JN = map(pairing_matrix, tags)
     gens = [gg.map_ring(ring) for gg in base.generators]
     prod = mats[0]
     for k in range(1, N):
@@ -363,14 +368,14 @@ def sigma_ideal(g: int, N: int, field: Field = QQ) -> ChartIdeal:
     for e in polymat.entries(adj):
         if not e.is_zero():
             gens.append(e)
-    det0 = minors(J0, n)[0]
-    detN = minors(JN, n)[0]
-    gens.append(ring.var("ydet0") * det0 - 1)
-    gens.append(ring.var("ydetN") * detN - 1)
+    ideal, inverses = with_inverses(
+        PolyIdeal(ring, gens),
+        [("ydet0", minors(J0, n)[0]), ("ydetN", minors(JN, n)[0])],
+    )
     return ChartIdeal(
-        ideal=PolyIdeal(ring, gens),
+        ideal=ideal,
         provenance=f"sigma(g={g},N={N})",
-        inverses=(("ydet0", det0), ("ydetN", detN)),
+        inverses=inverses,
         meta={"kind": "sigma", "g": g, "N": N},
     )
 
@@ -389,27 +394,15 @@ def apply_cyclic_shift(chart: ChartIdeal, s: int) -> ChartIdeal:
     n, r, N = _mu_meta(chart)
     ring = chart.ring
     s = s % (N + 1)
-    perm = list(range(ring.nvars))
     shape = ParabolicShape(n, r)
+    rename: Dict[str, str] = {}
     for i in range(N + 1):
-        src = [ring.index[v] for v in shape.var_names(i)]
-        dst = [ring.index[v] for v in shape.var_names((i + s) % (N + 1))]
-        for a, b in zip(src, dst):
-            perm[a] = b
-    gens = []
-    for g in chart.generators:
-        terms = {}
-        for e, c in g.terms.items():
-            e2 = [0] * ring.nvars
-            for pos, exp in enumerate(e):
-                if exp:
-                    e2[perm[pos]] = exp
-            terms[tuple(e2)] = c
-        gens.append(MultiPoly(ring, terms))
-    return ChartIdeal(
-        ideal=PolyIdeal(ring, gens, chart.ideal.order),
-        provenance=f"{chart.provenance};shift(s={s})",
-        meta=dict(chart.meta, shifted=s),
+        rename.update(zip(shape.var_names(i), shape.var_names((i + s) % (N + 1))))
+    # each generator's terms read with Pi_i's coordinates named as Pi_{i+s}'s
+    shifted = PolyRing(ring.field, [rename.get(v, v) for v in ring.names])
+    gens = [MultiPoly(shifted, g.terms).map_ring(ring) for g in chart.generators]
+    return chart.derive(
+        PolyIdeal(ring, gens, chart.ideal.order), f"shift(s={s})", shifted=s
     )
 
 
@@ -448,10 +441,8 @@ def apply_symplectic_involution(chart: ChartIdeal) -> ChartIdeal:
             zip(shape.var_names(i), (target[a][b] for a, b in shape.positions()))
         )
     gens = [gg.subs({**mapping, "t": ring.var("t")}) for gg in chart.generators]
-    return ChartIdeal(
-        ideal=PolyIdeal(ring, gens, chart.ideal.order),
-        provenance=f"{chart.provenance};involution",
-        meta=dict(chart.meta, involuted=True),
+    return chart.derive(
+        PolyIdeal(ring, gens, chart.ideal.order), "involution", involuted=True
     )
 
 

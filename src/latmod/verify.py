@@ -11,10 +11,10 @@ from itertools import combinations, cycle, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import ChainSpec, shift_matrix_value
-from .chart import ChartIdeal
+from .chart import ChartIdeal, with_inverses
 from .errors import ResourceLimitError
 from .gfq import SmallField, mat_mul, mat_rank
-from .ideals import PolyIdeal, dimension, ideal_contains_one, jacobian, minors
+from .ideals import dimension, ideal_contains_one, jacobian, minors
 from .poly import Field, GF, MultiPoly
 from .schemes import frame_names, local_model_ideal
 
@@ -103,19 +103,10 @@ def smooth_check(
 
 def invert_t(chart: ChartIdeal) -> ChartIdeal:
     """Chart with t inverted through a fresh auxiliary yt."""
-    ring = chart.ring
-    if "t" not in ring.index:
+    if "t" not in chart.ring.index:
         raise ValueError("no t in the dictionary")
-    ext = ring.extend(["yt"])
-    gens = [g.map_ring(ext) for g in chart.generators]
-    t = ext.var("t")
-    gens.append(ext.var("yt") * t - 1)
-    return ChartIdeal(
-        ideal=PolyIdeal(ext, gens, chart.ideal.order),
-        provenance=f"{chart.provenance};t_inverted",
-        inverses=chart.inverses + (("yt", t),),
-        meta=dict(chart.meta, t_inverted=True),
-    )
+    ideal, inverses = with_inverses(chart.ideal, [("yt", chart.ring.var("t"))])
+    return chart.derive(ideal, "t_inverted", inverses, t_inverted=True)
 
 
 def mu_generic_fiber_hints(chart: ChartIdeal) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

@@ -6,7 +6,16 @@ rows; it prints one pass/fail line."""
 
 import time
 
-from latmod.schemes import apply_cyclic_shift, apply_symplectic_involution, mu_ideal
+from latmod.chains import ParabolicShape
+from latmod.ideals import PolyIdeal
+from latmod.poly import MultiPoly
+from latmod.schemes import (
+    apply_cyclic_shift,
+    apply_symplectic_involution,
+    generators_match_exactly,
+    generators_match_up_to_sign,
+    mu_ideal,
+)
 from latmod.suite import CHECKS, default_config, run_one
 
 # criterion -> (title, the suite checks that decide it)
@@ -195,3 +204,28 @@ def test_criterion_8_rejects_planted_counterexamples():
         for expected, verdict in ((value - 1, False), (value, True), (value + 1, False)):
             row = run_one({"name": name, "params": dict(params, expected=expected)})
             assert row.verdict is verdict, (name, expected, row)
+
+
+def test_criterion_6_rejects_planted_counterexamples():
+    """The generator-set certificates of criterion 6 reject a planted image.
+
+    Shift: the shifted generators of mu(3,1,2) without one rotation's
+    entries match neither mu's set nor its reduced basis; without
+    invertibility the rotations are not interdefinable.  Involution: the image of mu(2,1,1) with the sign of
+    one term of one generator flipped does not match up to sign.
+    """
+    mu = mu_ideal(3, 1, 2)
+    shifted = apply_cyclic_shift(mu, 1).generators
+    assert generators_match_exactly(mu.generators, shifted)
+    # rotation 0's entries come first, one per shape position
+    dropped = shifted[len(ParabolicShape(3, 1).positions()):]
+    assert not generators_match_exactly(mu.generators, dropped)
+    assert PolyIdeal(mu.ring, dropped).groebner_basis() != mu.ideal.groebner_basis()
+
+    mu = mu_ideal(2, 1, 1)
+    first, *rest = apply_symplectic_involution(mu).generators
+    assert generators_match_up_to_sign(mu.generators, [first] + rest)
+    (e, c), *others = first.terms.items()
+    assert others, "flipping the only term would flip the whole generator"
+    flipped = MultiPoly(mu.ring, {**first.terms, e: -c})
+    assert not generators_match_up_to_sign(mu.generators, [flipped] + rest)

@@ -1,9 +1,11 @@
 import json
 
-from latmod.chart import ChartIdeal
+from latmod.chart import ChartIdeal, with_inverses
 from latmod.chains import ChainSpec
 from latmod.poly import GF, PolyRing, QQ
+from latmod.resolution import blowup_chart
 from latmod.schemes import mu_chart_ideal, mu_ideal, sigma_ideal
+from latmod.verify import invert_t
 
 
 def test_roundtrip_mu():
@@ -51,3 +53,27 @@ def test_inverse_relations_present():
     gens = set(chart.generators)
     for name, f in chart.inverses:
         assert ring.var(name) * f - 1 in gens
+
+
+def test_derive_appends_the_step_and_the_new_inverses():
+    chart = mu_chart_ideal(ChainSpec(2, 1, 1, (1, 1)))
+    ideal, new = with_inverses(chart.ideal, [("yt", chart.ring.var("t"))])
+    assert ideal.ring.names == chart.ring.names + ("yt",)
+    assert ideal.generators[-1] == ideal.ring.var("yt") * ideal.ring.var("t") - 1
+    derived = chart.derive(ideal, "step", new, kind="other", extra=1)
+    assert derived.provenance == chart.provenance + ";step"
+    assert derived.meta == dict(chart.meta, kind="other", extra=1)
+    assert [name for name, _ in derived.inverses] == ["y0", "y1", "yt"]
+
+
+def test_derived_charts_carry_their_inverses_into_their_own_ring():
+    """t inversion and a blowup chart read the minor inverses y_i of the
+    chart they start from in the new ring, whose ideal holds y_i * m_i - 1."""
+    chart = mu_chart_ideal(ChainSpec(2, 1, 1, (1, 1)))
+    center = [chart.ring.var("Pi0_1_1"), chart.ring.var("t")]
+    for derived in (invert_t(chart), blowup_chart(chart, center, 0).chart):
+        assert [f.ring == derived.ring for _, f in derived.inverses] == (
+            [True] * len(derived.inverses)
+        )
+        for name, f in derived.inverses:
+            assert derived.ideal.contains(derived.ring.var(name) * f - 1)
