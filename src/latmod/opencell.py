@@ -33,32 +33,6 @@ def _adjugate(M):
     ]
 
 
-def _parabolic_inverse(g, ring: PolyRing, shape: ParabolicShape, ua: MultiPoly, uc: MultiPoly):
-    """Inverse of a block upper-triangular matrix via adjugates.
-
-    With g = [[A, B], [0, C]]:  g^{-1} = [[A^{-1}, -A^{-1} B C^{-1}],
-    [0, C^{-1}]], and A^{-1} = adj(A) * ua, C^{-1} = adj(C) * uc where
-    ua, uc are the auxiliary inverses of det A, det C.
-    """
-    n, r = shape.n, shape.r
-    A, B, C = shape.blocks(g)
-    Ainv = polymat.map_entries(_adjugate(A), lambda x: x * ua)
-    Cinv = polymat.map_entries(_adjugate(C), lambda x: x * uc)
-    topright = polymat.map_entries(
-        polymat.matmul(polymat.matmul(Ainv, B), Cinv), lambda x: -x
-    )
-    out = polymat.zeros(ring, n, n)
-    for i in range(r):
-        for j in range(r):
-            out[i][j] = Ainv[i][j]
-        for j in range(n - r):
-            out[i][r + j] = topright[i][j]
-    for i in range(n - r):
-        for j in range(n - r):
-            out[r + i][r + j] = Cinv[i][j]
-    return out
-
-
 class OpenCellSymbols:
     """Symbolic open-cell data for (n, r, N) plus the relation ideal."""
 
@@ -84,7 +58,10 @@ class OpenCellSymbols:
             rels.append(ua[i] * minors(A, r)[0] - 1)
             rels.append(uc[i] * minors(C, n - r)[0] - 1)
             rels.append(self.uld[i] * ld[i] - 1)
-            self.ginv.append(_parabolic_inverse(self.g[i], ring, shape, ua[i], uc[i]))
+            # g is block upper-triangular, so det g = det A * det C and
+            # ua * uc inverts it: g^{-1} = adj(g) * ua * uc
+            u = ua[i] * uc[i]
+            self.ginv.append(polymat.map_entries(_adjugate(self.g[i]), lambda x: x * u))
         rels.append(self.us * self.s - 1)
         self.relations = PolyIdeal(ring, rels)
 

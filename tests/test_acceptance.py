@@ -6,6 +6,7 @@ rows; it prints one pass/fail line."""
 
 import time
 
+from latmod import opencell
 from latmod.chains import ParabolicShape
 from latmod.ideals import PolyIdeal
 from latmod.poly import MultiPoly
@@ -107,6 +108,25 @@ def test_criterion_3_open_cell_factorization():
     both = {"factors_through": True, "ratio_invariance": True}
     ok = all(row.verdict and row.details == both for row in rows)
     _report(3, ok and sum(row.runtime_ms for row in rows) < 120000, t0)
+
+
+def test_criterion_3_rejects_planted_counterexample(monkeypatch):
+    """With one adjugate entry negated, the substituted g_i g_{i+1}^{-1}
+    no longer lands on mu: every criterion-3 row fails on
+    ``factors_through``, while ratio invariance does not see the flaw."""
+    adjugate = opencell._adjugate
+
+    def planted(M):
+        adj = adjugate(M)
+        adj[0][0] = -adj[0][0]
+        return adj
+
+    monkeypatch.setattr(opencell, "_adjugate", planted)
+    rows = [run_one(e) for e in _entries(3)]
+    assert len(rows) == 4
+    for row in rows:
+        assert row.verdict is False, row
+        assert row.details == {"factors_through": False, "ratio_invariance": True}, row
 
 
 def test_criterion_4_chain_normal_form():

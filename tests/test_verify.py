@@ -413,13 +413,32 @@ def test_glued_equals_direct(spec, q, tau):
     glued = glued_local_model_count(ChainSpec(*spec), q, tau)
     assert glued == chain_subspace_count(ChainSpec(*spec), q, tau)
     assert glued == GLUED_PINNED.get((spec, q, tau), glued)
+    if tau:
+        # every shift is invertible, so F_{i-1} = shift_i(F_i): one chain per F_N
+        assert glued == len(subspaces_of(spec[0], spec[1], q))
 
 
 def test_glued_count_n4_special_fibre():
     """(4,1,3,(1,1,1,1)) over F_2 at t = 0: 4q^3 + 6q^2 + 4q + 1 points."""
     q = 2
-    count = glued_local_model_count(ChainSpec(4, 1, 3, (1, 1, 1, 1)), q, 0)
-    assert count == 4 * q**3 + 6 * q**2 + 4 * q + 1 == 65
+    spec = ChainSpec(4, 1, 3, (1, 1, 1, 1))
+    count = glued_local_model_count(spec, q, 0)
+    assert count == chain_subspace_count(spec, q, 0) == 4 * q**3 + 6 * q**2 + 4 * q + 1 == 65
+
+
+@pytest.mark.parametrize(
+    "r,q,expected",
+    [(1, 2, 65), (1, 3, 175), (2, 2, 241), (2, 3, 913)],
+)
+def test_direct_count_n4_special_fibre(r, q, expected):
+    """The direct count of (4,r,3,(1,1,1,1)) at t = 0 is the admissible-set
+    polynomial: 4q^3 + 6q^2 + 4q + 1 for r = 1, 6q^4 + 12q^3 + 10q^2 + 4q + 1
+    for r = 2."""
+    poly = {
+        1: 4 * q**3 + 6 * q**2 + 4 * q + 1,
+        2: 6 * q**4 + 12 * q**3 + 10 * q**2 + 4 * q + 1,
+    }[r]
+    assert chain_subspace_count(ChainSpec(4, r, 3, (1, 1, 1, 1)), q, 0) == poly == expected
 
 
 def reference_minor_candidates(nrows, ncols, c, hints):
