@@ -10,6 +10,7 @@ recovered from the returned multiplier pair).
 from __future__ import annotations
 
 import heapq
+import os
 from math import gcd
 
 from .errors import ResourceLimitError
@@ -241,12 +242,182 @@ def _update_pairs(pairs, G, lms, h_idx, pk):
     return kept
 
 
+def _remainder(f, G, index, pk, p):
+    """The normalized remainder of f modulo G, ``[]`` for zero; ``index``
+    is the ``DivisorIndex`` over the leads of G."""
+    r = nf(f, G, pk, p, index)[0] if f else []
+    return normalize_mod(r, p) if p else normalize_int(r)
+
+
+# The queue length at which a buchberger call forks its helper, and the
+# pairs per round: the parent keeps the first WINDOW pairs of the queue that
+# the helper has not answered, and the helper reduces the next WINDOW.
+SPECULATE_AT = 512
+WINDOW = 32
+_PENDING = object()  # a pair at the helper, not answered yet
+
+
+def _fork_context():
+    """The fork context if a helper process may start here, else None.
+
+    It needs more than one usable CPU, a process that is no
+    multiprocessing child (a ``--jobs`` worker or another helper), no other
+    thread (fork can deadlock the child on a lock a thread held) and the
+    fork start method.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    # Imported here, not at the top: an eager import costs every process
+    # peak RSS and set-up time, helper or not.
+    import multiprocessing
+    import threading
+
+    if (
+        multiprocessing.parent_process() is not None
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _helper_loop(conn, parent_end, G, index, pk, p):
+    """The helper process: reduce the S-pairs the parent sends against the
+    part of G it has sent.
+
+    Each message is ``(elements appended to G since the last one, pairs)``.
+    Each pair is answered as soon as it is done with ``(pair, r)``: the
+    normalized remainder, ``[]`` for zero, or None when the reduction
+    raised, which the parent then repeats and raises itself.  The loop ends
+    when the parent closes its end of the pipe.
+    """
+    import signal
+
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the helper
+    try:
+        while True:
+            new, pairs = conn.recv()
+            for g in new:
+                G.append(g)
+                index.append(g[0][0])
+            for pair in pairs:
+                L, i, j = pair
+                try:
+                    r = _remainder(spoly(G[i], G[j], L, pk, p), G, index, pk, p)
+                except Exception:  # reported to the parent, which raises it
+                    r = None
+                conn.send((pair, r))
+    except (EOFError, ConnectionError):
+        pass
+
+
+class _Helper:
+    """The parent's end of a forked ``_helper_loop``.
+
+    ``answers`` maps each pair sent to ``_PENDING`` until the helper's reply
+    replaces it.
+    """
+
+    def __init__(self, ctx, G, index, pk, p):
+        import select
+
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_helper_loop, args=(child, self.conn, G, index, pk, p))
+        self.proc.start()
+        child.close()
+        # One poll object for the whole call: Connection.poll builds a
+        # selector on every call, several times the cost of the test.
+        self.ready = select.poll()
+        self.ready.register(self.conn.fileno(), select.POLLIN)
+        self.sent = len(G)  # elements of G the helper holds
+        self.out = 0  # pairs at the helper, not answered yet
+        self.answers = {}
+        self.alive = True
+
+    def _receive(self):
+        try:
+            pair, r = self.conn.recv()
+        except (EOFError, ConnectionError):
+            self._lost()
+            return
+        self.answers[pair] = r
+        self.out -= 1
+
+    def _lost(self):
+        """The helper is gone (killed, say): the parent reduces the pairs
+        it held, and sends no more."""
+        for q, r in self.answers.items():
+            if r is _PENDING:
+                self.answers[q] = None
+        self.out = 0
+        self.alive = False
+
+    def feed(self, G, heap):
+        """Take the replies that have come; when none is out, send the new
+        elements of G and the queued pairs ranked WINDOW + 1 to 2 WINDOW
+        among those not answered."""
+        while self.out and self.ready.poll(0):
+            self._receive()
+        if self.out or not self.alive:
+            return
+        answers = self.answers
+        ranked = [q for q in heapq.nsmallest(2 * WINDOW + len(answers), heap) if q not in answers]
+        pairs = ranked[WINDOW:2 * WINDOW]
+        if pairs:
+            try:
+                self.conn.send((G[self.sent:], pairs))
+            except ConnectionError:
+                self._lost()
+                return
+            self.sent = len(G)
+            self.out = len(pairs)
+            for q in pairs:
+                answers[q] = _PENDING
+
+    def take(self, pair):
+        """The helper's remainder for ``pair``, waited for while it is out;
+        None when the pair was not sent or its reduction raised."""
+        answers = self.answers
+        while answers.get(pair) is _PENDING:
+            self._receive()
+        return answers.pop(pair, None)
+
+    def close(self):
+        self.conn.close()
+        self.proc.terminate()
+        self.proc.join()
+
+
 def buchberger(gens, pk, p, pair_limit):
     """Reduced Groebner basis of the ideal spanned by ``gens``.
 
     Normal selection strategy (smallest lcm first) with the
     Gebauer-Moeller pair criteria.  Raises ResourceLimitError when the
     live pair count exceeds ``pair_limit``.
+
+    When the queue first holds SPECULATE_AT pairs and ``_fork_context``
+    allows it, a forked helper reduces queued S-polynomials ahead of the
+    parent, against the part G[:g] of G it was sent.  The parent still pops
+    every pair in the same order, and finishes each remainder r it gets
+    from the helper against all of G.  That appends exactly what the serial
+    loop appends, by this lemma.  ``nf`` reduces the largest reducible term
+    first, by the lead that ``DivisorIndex.first`` picks, the one with the
+    lowest index; the choice depends on the term alone, so ``nf(., G)`` is a
+    linear map, up to the scalar it reports.  Each step of the helper's
+    reduction reduces a term by the lowest-index lead in G[:g] that divides
+    it, which is also the lowest-index one in G, since every index below g
+    is below those of G[g:].  So each step is a step of ``nf(., G)`` too,
+    and leaves its value unchanged: ``nf(s, G)`` and ``nf(r, G)`` agree up
+    to a nonzero scalar, which the normalization removes.  In particular a
+    zero r gives zero, and an r with no term divisible by a lead of G comes
+    back unchanged.  A helper that dies costs only speed: the parent
+    reduces the pairs it held.  The helper is stopped and joined before the
+    call returns or raises.
     """
     G = []
     for f in gens:
@@ -267,24 +438,38 @@ def buchberger(gens, pk, p, pair_limit):
     for i in range(len(G)):
         heap = _update_pairs(heap, G, lms, i, pk)
     heapq.heapify(heap)
-    while heap:
-        if len(heap) > pair_limit:
-            raise ResourceLimitError(
-                f"pair queue exceeded {pair_limit} during Buchberger"
-            )
-        L, i, j = heapq.heappop(heap)
-        s = spoly(G[i], G[j], L, pk, p)
-        if not s:
-            continue
-        r, _, _ = nf(s, G, pk, p, index)
-        if not r:
-            continue
-        r = normalize_mod(r, p) if p else normalize_int(r)
-        G.append(r)
-        lms.append(r[0][0])
-        index.append(r[0][0])
-        heap = _update_pairs(heap, G, lms, len(G) - 1, pk)
-        heapq.heapify(heap)
+    helper = None
+    gate = True  # the helper's gate is not tried yet
+    try:
+        while heap:
+            if len(heap) > pair_limit:
+                raise ResourceLimitError(
+                    f"pair queue exceeded {pair_limit} during Buchberger"
+                )
+            if gate and len(heap) >= SPECULATE_AT:
+                gate = False
+                ctx = _fork_context()
+                if ctx is not None:
+                    helper = _Helper(ctx, G, index, pk, p)
+            if helper is not None:
+                helper.feed(G, heap)
+            pair = heapq.heappop(heap)
+            r = helper.take(pair) if helper is not None else None
+            if r is None:
+                L, i, j = pair
+                r = spoly(G[i], G[j], L, pk, p)
+            # A helper's remainder is finished against all of G (docstring).
+            r = _remainder(r, G, index, pk, p)
+            if not r:
+                continue
+            G.append(r)
+            lms.append(r[0][0])
+            index.append(r[0][0])
+            heap = _update_pairs(heap, G, lms, len(G) - 1, pk)
+            heapq.heapify(heap)
+    finally:
+        if helper is not None:
+            helper.close()
     return interreduce(G, pk, p)
 
 
