@@ -198,7 +198,7 @@ def _update_pairs(pairs, G, lms, h_idx, pk):
     field): b divides a iff ``((y_b | g) - y_a) & g == g``, two lcm keys
     are equal iff their fields are, and the fields of an lcm are the
     per-field minimum.  Lcm keys are built only for the new pairs kept.
-    ``pairs`` is not modified.
+    ``pairs`` is not modified; the old pairs kept come first, in order.
     """
     g = pk.exp_guard_mask
     m = pk.exp_all_mask
@@ -254,7 +254,15 @@ def _remainder(f, G, index, pk, p):
 # the helper has not answered, and the helper reduces the next WINDOW.
 SPECULATE_AT = 512
 WINDOW = 32
-_PENDING = object()  # a pair at the helper, not answered yet
+
+
+def usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _fork_context():
@@ -265,11 +273,7 @@ def _fork_context():
     thread (fork can deadlock the child on a lock a thread held) and the
     fork start method.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
+    if usable_cpus() < 2:
         return None
     # Imported here, not at the top: an eager import costs every process
     # peak RSS and set-up time, helper or not.
@@ -319,8 +323,8 @@ def _helper_loop(conn, parent_end, G, index, pk, p):
 class _Helper:
     """The parent's end of a forked ``_helper_loop``.
 
-    ``answers`` maps each pair sent to ``_PENDING`` until the helper's reply
-    replaces it.
+    ``out`` holds the pairs sent and not answered yet, and ``answers`` the
+    replies not taken yet.
     """
 
     def __init__(self, ctx, G, index, pk, p):
@@ -335,7 +339,7 @@ class _Helper:
         self.ready = select.poll()
         self.ready.register(self.conn.fileno(), select.POLLIN)
         self.sent = len(G)  # elements of G the helper holds
-        self.out = 0  # pairs at the helper, not answered yet
+        self.out = set()
         self.answers = {}
         self.alive = True
 
@@ -344,48 +348,42 @@ class _Helper:
             pair, r = self.conn.recv()
         except (EOFError, ConnectionError):
             self._lost()
-            return
-        self.answers[pair] = r
-        self.out -= 1
+        else:
+            self.out.discard(pair)
+            self.answers[pair] = r
 
     def _lost(self):
         """The helper is gone (killed, say): the parent reduces the pairs
         it held, and sends no more."""
-        for q, r in self.answers.items():
-            if r is _PENDING:
-                self.answers[q] = None
-        self.out = 0
+        self.out.clear()
         self.alive = False
 
-    def feed(self, G, heap):
+    def feed(self, G, queue):
         """Take the replies that have come; when none is out, send the new
-        elements of G and the queued pairs ranked WINDOW + 1 to 2 WINDOW
-        among those not answered."""
+        elements of G and the pairs ranked WINDOW + 1 to 2 WINDOW among
+        those not answered in ``queue``, sorted descending."""
         while self.out and self.ready.poll(0):
             self._receive()
         if self.out or not self.alive:
             return
         answers = self.answers
-        ranked = [q for q in heapq.nsmallest(2 * WINDOW + len(answers), heap) if q not in answers]
+        ranked = [q for q in reversed(queue[-2 * WINDOW - len(answers):]) if q not in answers]
         pairs = ranked[WINDOW:2 * WINDOW]
         if pairs:
             try:
                 self.conn.send((G[self.sent:], pairs))
             except ConnectionError:
                 self._lost()
-                return
-            self.sent = len(G)
-            self.out = len(pairs)
-            for q in pairs:
-                answers[q] = _PENDING
+            else:
+                self.sent = len(G)
+                self.out.update(pairs)
 
     def take(self, pair):
         """The helper's remainder for ``pair``, waited for while it is out;
         None when the pair was not sent or its reduction raised."""
-        answers = self.answers
-        while answers.get(pair) is _PENDING:
+        while pair in self.out:
             self._receive()
-        return answers.pop(pair, None)
+        return self.answers.pop(pair, None)
 
     def close(self):
         self.conn.close()
@@ -434,26 +432,26 @@ def buchberger(gens, pk, p, pair_limit):
     G = uniq
     lms = [g[0][0] for g in G]
     index = DivisorIndex(pk, lms)
-    heap = []
+    queue = []  # sorted descending, so pop() takes the least (L, i, j)
     for i in range(len(G)):
-        heap = _update_pairs(heap, G, lms, i, pk)
-    heapq.heapify(heap)
+        queue = _update_pairs(queue, G, lms, i, pk)
+    queue.sort(reverse=True)
     helper = None
     gate = True  # the helper's gate is not tried yet
     try:
-        while heap:
-            if len(heap) > pair_limit:
+        while queue:
+            if len(queue) > pair_limit:
                 raise ResourceLimitError(
                     f"pair queue exceeded {pair_limit} during Buchberger"
                 )
-            if gate and len(heap) >= SPECULATE_AT:
+            if gate and len(queue) >= SPECULATE_AT:
                 gate = False
                 ctx = _fork_context()
                 if ctx is not None:
                     helper = _Helper(ctx, G, index, pk, p)
             if helper is not None:
-                helper.feed(G, heap)
-            pair = heapq.heappop(heap)
+                helper.feed(G, queue)
+            pair = queue.pop()
             r = helper.take(pair) if helper is not None else None
             if r is None:
                 L, i, j = pair
@@ -465,8 +463,8 @@ def buchberger(gens, pk, p, pair_limit):
             G.append(r)
             lms.append(r[0][0])
             index.append(r[0][0])
-            heap = _update_pairs(heap, G, lms, len(G) - 1, pk)
-            heapq.heapify(heap)
+            queue = _update_pairs(queue, G, lms, len(G) - 1, pk)
+            queue.sort(reverse=True)
     finally:
         if helper is not None:
             helper.close()

@@ -23,6 +23,7 @@ from .characters import character_data
 from .chart import ChartIdeal
 from .errors import NormalFormFailure
 from .indexset import enumerate_index_set
+from .kernel import usable_cpus
 from .poly import GF
 from .resolution import blowup_chart, kill_t_torsion, sigma_fiber_freecount
 from .schemes import (
@@ -359,11 +360,11 @@ def verify():
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--out", type=str, default=None)
 @click.option("--csv", "csv_path", type=str, default=None)
-@click.option("--jobs", type=int, default=None, help="default: machine parallelism")
+@click.option("--jobs", type=int, default=None, help="default: the CPUs this process may use")
 @click.option("--no-timestamp", is_flag=True, default=False)
 def verify_run(config_path, out, csv_path, jobs, no_timestamp):
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = usable_cpus()
     if config_path:
         with open(config_path) as fh:
             config = json.load(fh)

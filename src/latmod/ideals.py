@@ -48,10 +48,10 @@ def terms_to_poly(
     unpack = pk.unpack
     if f.p:
         return MultiPoly(ring, {unpack(k): c % f.p for k, c in terms})
-    if scale == 1:
-        return MultiPoly(ring, {unpack(k): Fraction(c) for k, c in terms})
+    # One Fraction per distinct value: a basis repeats a few small ones.
     num, den = scale.numerator, scale.denominator
-    return MultiPoly(ring, {unpack(k): Fraction(c * num, den) for k, c in terms})
+    frac = {c: Fraction(c * num, den) for c in {c for _, c in terms}}
+    return MultiPoly(ring, {unpack(k): frac[c] for k, c in terms})
 
 
 class PolyIdeal:

@@ -8,4 +8,5 @@ from ._pykernel import (  # noqa: F401
     normalize_int,
     normalize_mod,
     spoly,
+    usable_cpus,
 )

@@ -179,6 +179,27 @@ def test_verify_run_small_config(runner, tmp_path):
     assert csv_text.splitlines()[0] == "check,spec,verdict,witness_digest,runtime_ms"
 
 
+def test_verify_run_jobs_default_follows_affinity(runner, tmp_path, monkeypatch):
+    """Without --jobs the suite gets the CPUs in the affinity mask, not the
+    machine's count."""
+    import latmod.cli
+
+    seen = []
+    run_suite = latmod.cli.run_suite
+
+    def spy(config, jobs=1, **kw):
+        seen.append(jobs)
+        return run_suite(config, jobs=jobs, **kw)
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(latmod.cli, "run_suite", spy)
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"checks": [{"name": "sigma_fiber", "params": {"g": 1}}]}))
+    res = runner.invoke(main, ["verify", "run", "--config", str(cfg), "--no-timestamp"])
+    assert res.exit_code == 0, res.output
+    assert seen == [1]
+
+
 def test_verify_run_reproducible_no_timestamp(runner, tmp_path):
     """Byte-identical reports when the wall-clock fields are suppressed."""
     config = {

@@ -3,6 +3,8 @@ appends the same elements in the same order and returns the same reduced
 basis as with it off, and no helper outlives a ``buchberger`` call."""
 
 import concurrent.futures as cf
+import hashlib
+import json
 import multiprocessing
 import random
 import sys
@@ -18,11 +20,31 @@ from latmod.schemes import mu_ideal
 
 OFF = sys.maxsize  # a queue length no call reaches
 
+# The lead keys of G in append order, generators first: their number and the
+# sha256 of their JSON list.  Pinned from the serial loop; a change in the
+# order in which pairs are popped changes them.
+LEADS = {
+    "mu(3,2,2)": (55, "18e50cec699c6c3a3141936e935bc9934159b81d70e63a4a370555118526653e"),
+    "block saturation": (56, "7ca166982b24601b67ffd0892db246a5459db3b394e23f47e051036e5f432522"),
+}
+
 
 def _ideal_case(ideal):
     pk = ideal.packing
     gens = [_scaled_terms(g, pk)[0] for g in ideal.generators]
     return gens, pk, ideal.ring.field.p
+
+
+def _block_saturation_case():
+    """The ("block", 1) elimination ideal behind saturate(mu(3,2,2), t)."""
+    mu = mu_ideal(3, 2, 2).ideal
+    cases = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "buchberger", lambda gens, pk, p, limit: cases.append((gens, pk, p)) or [])
+        saturate(mu, mu.ring.var("t"))
+    (case,) = cases
+    assert case[1].order == ("block", 1)
+    return case
 
 
 def _random_case(order, p, seed):
@@ -45,13 +67,13 @@ def _random_case(order, p, seed):
 
 def _run(case, at, window):
     """buchberger on ``case`` with the helper's threshold at ``at``: the
-    basis, the last element of G at each pair update, the helpers started
-    and the helper replies that the parent took."""
+    basis, the elements of G in append order, the helpers started and the
+    helper replies that the parent took."""
     appended, started, replies = [], [], []
     update = _pykernel._update_pairs
 
     def spy_update(pairs, G, lms, h_idx, pk):
-        appended.append(G[-1])
+        appended.append(G[h_idx])
         return update(pairs, G, lms, h_idx, pk)
 
     class SpyHelper(_pykernel._Helper):
@@ -90,18 +112,19 @@ def test_helper_keeps_mu_trajectory(spec):
     _assert_same_trajectory(_ideal_case(mu_ideal(*spec).ideal))
 
 
-def test_helper_keeps_block_saturation_trajectory(monkeypatch):
-    """The ("block", 1) elimination ideal behind saturate(mu(3,2,2), t)."""
-    mu = mu_ideal(3, 2, 2).ideal
-    cases = []
-    monkeypatch.setattr(
-        kernel, "buchberger", lambda gens, pk, p, limit: cases.append((gens, pk, p)) or []
-    )
-    saturate(mu, mu.ring.var("t"))
-    monkeypatch.undo()
-    (case,) = cases
-    assert case[1].order == ("block", 1)
-    _assert_same_trajectory(case)
+def test_helper_keeps_block_saturation_trajectory():
+    _assert_same_trajectory(_block_saturation_case())
+
+
+@pytest.mark.parametrize("at", [1, OFF], ids=["helper", "serial"])
+@pytest.mark.parametrize("name", sorted(LEADS))
+def test_append_order_is_pinned(name, at):
+    if name == "mu(3,2,2)":
+        case = _ideal_case(mu_ideal(3, 2, 2).ideal)
+    else:
+        case = _block_saturation_case()
+    leads = [g[0][0] for g in _run(case, at, _pykernel.WINDOW)[1]]
+    assert (len(leads), hashlib.sha256(json.dumps(leads).encode()).hexdigest()) == LEADS[name]
 
 
 @pytest.mark.parametrize("order", ["grevlex", ("block", 1), ("block", 2)])
@@ -135,7 +158,7 @@ def test_helper_error_marker_and_overflow(monkeypatch, order):
     """The S-polynomial of x^10000*y + y^10001 and x*y^30000 overflows.
     Its pair has the largest lcm, so with a window of 2 the helper gets it
     and replies with the error marker; the parent reduces the pair again
-    and raises."""
+    and raises.  A marker is a reply of None to a pair that was out."""
     ring = PolyRing(QQ, ["x", "y", "a", "b"])
     x, y, a, b = ring.gens()
     ideal = PolyIdeal(ring, [x**10000 * y + y**10001, x * y**30000, a**2 - b, a * b - 1, b**2 - a], order)
@@ -143,9 +166,9 @@ def test_helper_error_marker_and_overflow(monkeypatch, order):
     receive = _pykernel._Helper._receive
 
     def spy(self):
-        out = [q for q, r in self.answers.items() if r is _pykernel._PENDING]
+        out = set(self.out)
         receive(self)
-        markers.extend(q for q in out if self.answers.get(q, 0) is None)
+        markers.extend(q for q in out - self.out if self.answers.get(q, 0) is None)
 
     monkeypatch.setattr(_pykernel._Helper, "_receive", spy)
     monkeypatch.setattr(_pykernel, "SPECULATE_AT", 1)
@@ -190,7 +213,7 @@ def test_parent_goes_on_when_the_helper_dies(monkeypatch):
     appended = []
 
     def kill(pairs, G, lms, h_idx, pk):
-        appended.append(G[-1])
+        appended.append(G[h_idx])
         if len(appended) == 30:
             helpers[0].proc.kill()
             helpers[0].proc.join(timeout=60)
