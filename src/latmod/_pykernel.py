@@ -268,10 +268,10 @@ def usable_cpus():
 def _fork_context():
     """The fork context if a helper process may start here, else None.
 
-    It needs more than one usable CPU, a process that is no
-    multiprocessing child (a ``--jobs`` worker or another helper), no other
-    thread (fork can deadlock the child on a lock a thread held) and the
-    fork start method.
+    It needs more than one usable CPU, no other thread (fork can deadlock
+    the child on a lock a thread held) and the fork start method; the gate
+    is the same in the main process and in a ``--jobs`` worker.  A helper
+    never starts another: it runs ``_remainder`` only.
     """
     if usable_cpus() < 2:
         return None
@@ -280,11 +280,7 @@ def _fork_context():
     import multiprocessing
     import threading
 
-    if (
-        multiprocessing.parent_process() is not None
-        or threading.active_count() > 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
         return None
     return multiprocessing.get_context("fork")
 
@@ -399,23 +395,24 @@ def buchberger(gens, pk, p, pair_limit):
     live pair count exceeds ``pair_limit``.
 
     When the queue first holds SPECULATE_AT pairs and ``_fork_context``
-    allows it, a forked helper reduces queued S-polynomials ahead of the
-    parent, against the part G[:g] of G it was sent.  The parent still pops
-    every pair in the same order, and finishes each remainder r it gets
-    from the helper against all of G.  That appends exactly what the serial
-    loop appends, by this lemma.  ``nf`` reduces the largest reducible term
-    first, by the lead that ``DivisorIndex.first`` picks, the one with the
-    lowest index; the choice depends on the term alone, so ``nf(., G)`` is a
-    linear map, up to the scalar it reports.  Each step of the helper's
-    reduction reduces a term by the lowest-index lead in G[:g] that divides
-    it, which is also the lowest-index one in G, since every index below g
-    is below those of G[g:].  So each step is a step of ``nf(., G)`` too,
-    and leaves its value unchanged: ``nf(s, G)`` and ``nf(r, G)`` agree up
-    to a nonzero scalar, which the normalization removes.  In particular a
-    zero r gives zero, and an r with no term divisible by a lead of G comes
-    back unchanged.  A helper that dies costs only speed: the parent
-    reduces the pairs it held.  The helper is stopped and joined before the
-    call returns or raises.
+    allows it, in the main process or a ``--jobs`` worker alike, a forked
+    helper reduces queued S-polynomials ahead of the parent, against the
+    part G[:g] of G it was sent.  The parent still pops every pair in the
+    same order, and finishes each remainder r it gets from the helper
+    against all of G.  That appends exactly what the serial loop appends,
+    by this lemma.  ``nf`` reduces the largest reducible term first, by the
+    lead that ``DivisorIndex.first`` picks, the one with the lowest index;
+    the choice depends on the term alone, so ``nf(., G)`` is a linear map,
+    up to the scalar it reports.  Each step of the helper's reduction
+    reduces a term by the lowest-index lead in G[:g] that divides it, which
+    is also the lowest-index one in G, since every index below g is below
+    those of G[g:].  So each step is a step of ``nf(., G)`` too, and leaves
+    its value unchanged: ``nf(s, G)`` and ``nf(r, G)`` agree up to a
+    nonzero scalar, which the normalization removes.  In particular a zero
+    r gives zero, and an r with no term divisible by a lead of G comes back
+    unchanged.  A helper that dies costs only speed: the parent reduces the
+    pairs it held.  The helper is stopped and joined before the call
+    returns or raises.
     """
     G = []
     for f in gens:

@@ -360,7 +360,9 @@ def verify():
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--out", type=str, default=None)
 @click.option("--csv", "csv_path", type=str, default=None)
-@click.option("--jobs", type=int, default=None, help="default: the CPUs this process may use")
+@click.option(
+    "--jobs", type=click.IntRange(min=1), default=None, help="default: the CPUs this process may use"
+)
 @click.option("--no-timestamp", is_flag=True, default=False)
 def verify_run(config_path, out, csv_path, jobs, no_timestamp):
     if jobs is None:

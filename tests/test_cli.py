@@ -289,6 +289,15 @@ def test_verify_unknown_check_is_usage_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_run_nonpositive_jobs_is_usage_error(runner, tmp_path, jobs):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"checks": []}))
+    res = runner.invoke(main, ["verify", "run", "--config", str(cfg), "--jobs", jobs])
+    assert res.exit_code == 2
+    assert "--jobs" in res.output
+
+
 def test_sym_check_shift(runner):
     res = runner.invoke(main, ["sym", "check-shift", "--n", "2", "--r", "1", "--N", "1"])
     assert res.exit_code == 0

@@ -229,27 +229,21 @@ def test_parent_goes_on_when_the_helper_dies(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _worker_basis(spec):
-    """In a suite pool worker: the basis of mu(spec) with the helper's
-    threshold at 1, and whether a helper started."""
-    started = []
-    at, init = _pykernel.SPECULATE_AT, _pykernel._Helper.__init__
-
-    def spy(self, *args):
-        started.append(True)
-        init(self, *args)
-
-    _pykernel.SPECULATE_AT = 1
-    _pykernel._Helper.__init__ = spy
-    try:
-        return _pykernel.buchberger(*_ideal_case(mu_ideal(*spec).ideal), 10**6), started
-    finally:
-        _pykernel.SPECULATE_AT, _pykernel._Helper.__init__ = at, init
+def _worker_run(spec):
+    """In a suite pool worker: ``_run`` on mu(spec) with the helper's
+    threshold at 1; the basis, the append order, the helpers started and
+    the worker's children after the call."""
+    basis, appended, started, _ = _run(_ideal_case(mu_ideal(*spec).ideal), 1, _pykernel.WINDOW)
+    return basis, appended, len(started), multiprocessing.active_children()
 
 
-def test_no_helper_in_a_pool_worker():
-    """The ``--jobs`` path: a worker of the suite's executor starts none."""
+def test_one_helper_in_a_pool_worker():
+    """The ``--jobs`` path: a worker of the suite's executor starts one
+    helper, as the main process does, and keeps the serial trajectory."""
+    want, want_appended, _, _ = _run(_ideal_case(mu_ideal(3, 1, 2).ideal), OFF, _pykernel.WINDOW)
     with cf.ProcessPoolExecutor(max_workers=1) as ex:
-        basis, started = ex.submit(_worker_basis, (3, 1, 2)).result(timeout=120)
-    assert started == []
-    assert basis == _pykernel.buchberger(*_ideal_case(mu_ideal(3, 1, 2).ideal), 10**6)
+        basis, appended, started, children = ex.submit(_worker_run, (3, 1, 2)).result(timeout=120)
+    assert started == 1
+    assert children == []
+    assert appended == want_appended
+    assert basis == want
