@@ -194,16 +194,14 @@ def saturate(I: PolyIdeal, f: MultiPoly) -> PolyIdeal:
     gens = [g.map_ring(ext) for g in I.generators]
     gens.append(ext.var(aux) * f.map_ring(ext) - ext.one)
     J = PolyIdeal(ext, gens, ("block", 1), I.pair_limit)
-    contracted = []
-    for g in J.groebner_basis():
-        if g.degree_in(aux) <= 0:
-            terms = {e[1:]: c for e, c in g.terms.items()}
-            contracted.append(MultiPoly(ring, terms))
-    out = PolyIdeal(ring, contracted, "grevlex", I.pair_limit)
-    # The aux-free part of the block-order reduced basis is already the
-    # reduced grevlex basis of the contraction.
-    pk = out.packing
-    out._kernel_gb = [_scaled_terms(g, pk)[0] for g in contracted]
+    # In block order an aux-free lead means an aux-free element, and these
+    # elements form the reduced grevlex basis of the contraction.
+    low = J.packing.trailing_key
+    basis = [[(low(k), c) for k, c in g] for g in J.kernel_basis() if low(g[0][0]) >= 0]
+    pk = get_packing(ring.nvars, "grevlex")
+    gens = [terms_to_poly(g, ring, pk, Fraction(1, g[0][1])) for g in basis]
+    out = PolyIdeal(ring, gens, "grevlex", I.pair_limit)
+    out._kernel_gb = basis
     return out
 
 

@@ -149,6 +149,17 @@ class Packing:
         exps = self._fields((key ^ self.mul_offset).to_bytes(self._nbytes, "little"))
         return exps if self._to_vars is None else self._to_vars(exps)
 
+    def trailing_key(self, key: int) -> int:
+        """For a ("block", k) layout: the grevlex key of the last n - k
+        exponents, which fill the key's low bits, or -1 when any of the
+        first k exponents is nonzero."""
+        if self.order == "grevlex":
+            raise ValueError("trailing_key needs a block layout")
+        split = self.deg_shifts[0][0] + DEG_WIDTH
+        if key >> split != self.mul_offset >> split:
+            return -1
+        return key & ((1 << split) - 1)
+
     def exponent(self, key: int, i: int) -> int:
         return MAXE - ((key >> self.shifts[i]) & FIELD_MASK)
 

@@ -33,7 +33,12 @@ class BlowupChart:
 
     def pulled_back_center_principal(self) -> bool:
         """Certificate that the pulled-back center is generated by the
-        chart element: every center generator reduces into (f_k)."""
+        chart element: every center generator reduces into (f_k).
+
+        On a chart that ``blowup_chart`` built this holds by construction:
+        each f_j - u_j f_k tested is a generator of the raw chart ideal,
+        which its saturation contains.  The test guards charts assembled
+        by hand; a tower's real content is its chart counts."""
         if self.empty:
             return True
         ring = self.chart.ring

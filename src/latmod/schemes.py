@@ -9,6 +9,7 @@ cyclic-shift / transpose-conjugation symmetries.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import polymat
@@ -156,29 +157,49 @@ def mu_chart_ideal(
 
 # -- chain local models ----------------------------------------------------------
 
+def _slot_names(spec: ChainSpec, i: int, piv: Tuple[int, ...]) -> List[List[str]]:
+    """The rows of slot i's frame coordinates w{i}_{row}_{col}; a pivot row
+    has none."""
+    return [
+        [] if a in piv else [f"w{i}_{a + 1}_{k + 1}" for k in range(spec.r)]
+        for a in range(spec.n)
+    ]
+
+
 def frame_names(spec: ChainSpec, pivots) -> List[List[List[str]]]:
     """Per slot, the rows of frame coordinates w{i}_{row}_{col}; a pivot
     row has none."""
+    return [_slot_names(spec, i, piv) for i, piv in enumerate(pivots)]
+
+
+def _frame(ring: PolyRing, piv, rows) -> List[List[MultiPoly]]:
+    """Rank-r frame: the identity at the pivot rows, coordinates elsewhere."""
     return [
-        [
-            [] if a in piv else [f"w{i}_{a + 1}_{k + 1}" for k in range(spec.r)]
-            for a in range(spec.n)
-        ]
-        for i, piv in enumerate(pivots)
+        [ring.var(v) for v in row]
+        if row
+        else [ring.one if p == a else ring.zero for p in piv]
+        for a, row in enumerate(rows)
     ]
 
 
-def _frames(ring: PolyRing, spec: ChainSpec, pivots) -> List[List[List[MultiPoly]]]:
-    """Rank-r frames: the identity at the pivot rows, coordinates elsewhere."""
-    return [
-        [
-            [ring.var(v) for v in row]
-            if row
-            else [ring.one if p == a else ring.zero for p in piv]
-            for a, row in enumerate(rows)
-        ]
-        for piv, rows in zip(pivots, frame_names(spec, pivots))
-    ]
+@lru_cache(maxsize=None)
+def _chain_condition(
+    spec: ChainSpec, i: int, piv: Tuple[int, ...], prev: Tuple[int, ...]
+) -> Tuple[MultiPoly, ...]:
+    """Slot i's chain condition on a chart with pivot sets ``piv`` at slot i
+    and ``prev`` at slot i - 1: the nonzero (r+1)-minors of
+    [T^{d_i} M_i | M_{i-1}], in a ring of those two slots' coordinates (in
+    slot order) and t.  The charts of a chain model share them, so they
+    are built once; callers map them into their own ring."""
+    j = (i - 1) % (spec.N + 1)
+    rows = {i: _slot_names(spec, i, piv), j: _slot_names(spec, j, prev)}
+    names = [v for s in sorted(rows) for row in rows[s] for v in row]
+    ring = PolyRing(QQ, names + ["t"])
+    alpha = shift_matrix_power(spec.n, spec.step(i), ring)
+    stacked = polymat.hstack(
+        polymat.matmul(alpha, _frame(ring, piv, rows[i])), _frame(ring, prev, rows[j])
+    )
+    return tuple(m for m in minors(stacked, spec.r + 1) if not m.is_zero())
 
 
 def _validate_pivots(spec: ChainSpec, pivots) -> List[Tuple[int, ...]]:
@@ -210,16 +231,11 @@ def local_model_ideal(
     n, r, N = spec.n, spec.r, spec.N
     names = [v for rows in frame_names(spec, pivots) for row in rows for v in row]
     ring = PolyRing(QQ, names + ["t"])
-    frames = _frames(ring, spec, pivots)
-    gens: List[MultiPoly] = []
-    for i in range(N + 1):
-        alpha = shift_matrix_power(n, spec.step(i), ring)
-        stacked = polymat.hstack(
-            polymat.matmul(alpha, frames[i]), frames[(i - 1) % (N + 1)]
-        )
-        for m in minors(stacked, r + 1):
-            if not m.is_zero():
-                gens.append(m)
+    gens = [
+        m.map_ring(ring)
+        for i in range(N + 1)
+        for m in _chain_condition(spec, i, pivots[i], pivots[i - 1])
+    ]
     return ChartIdeal(
         ideal=PolyIdeal(ring, gens),
         provenance=f"local_model(n={n},r={r},N={N},d={list(spec.d)})",
@@ -291,10 +307,10 @@ def symplectic_local_model_ideal(
     ring = base.ring
     g = spec.n // 2
     grams = symplectic_gram_matrices(g, ring)
-    pivots = base.meta["pivots"]
-    frames = _frames(ring, spec, [tuple(p) for p in pivots])
+    pivots = [tuple(p) for p in base.meta["pivots"]]
     gens = list(base.generators)
-    for M, G in zip((frames[0], frames[spec.N]), grams):
+    for slot, G in zip((0, spec.N), grams):
+        M = _frame(ring, pivots[slot], _slot_names(spec, slot, pivots[slot]))
         W = polymat.matmul(polymat.matmul(polymat.transpose(M), G), M)
         for i in range(spec.r):
             for j in range(i + 1, spec.r):

@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from latmod.ideals import PolyIdeal, dimension, ideal_contains_one, jacobian, minors, saturate
-from latmod.poly import PolyRing, QQ
+from latmod.ideals import (
+    PolyIdeal,
+    _scaled_terms,
+    dimension,
+    ideal_contains_one,
+    jacobian,
+    minors,
+    saturate,
+)
+from latmod.packing import get_packing
+from latmod.poly import GF, MultiPoly, PolyRing, QQ
 from latmod.schemes import mu_ideal
 from latmod.verify import dimension_growth_oracle
 
@@ -115,6 +124,75 @@ def test_saturate_idempotent(ring):
         once = saturate(I, x)
         twice = saturate(once, x)
         assert once.groebner_basis() == twice.groebner_basis()
+
+
+def _saturate_through_multipolys(I, f):
+    """I : f^infinity by the route through the monic MultiPoly basis: keep
+    the elements of aux-degree 0, drop the aux exponent, pack again.
+    Returns the kept polynomials, their packed terms and the whole
+    elimination basis."""
+    ring = I.ring
+    ext = PolyRing(ring.field, ("ysat",) + ring.names)
+    gens = [g.map_ring(ext) for g in I.generators]
+    gens.append(ext.var("ysat") * f.map_ring(ext) - ext.one)
+    basis = PolyIdeal(ext, gens, ("block", 1)).groebner_basis()
+    kept = [
+        MultiPoly(ring, {e[1:]: c for e, c in g.terms.items()})
+        for g in basis
+        if g.degree_in("ysat") <= 0
+    ]
+    pk = get_packing(ring.nvars, "grevlex")
+    return kept, [_scaled_terms(g, pk)[0] for g in kept], basis
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_saturate_keeps_the_packed_elimination_basis(field):
+    # nine variables: the contraction's exponent fields span two
+    # DivisorIndex chunks, so the block split lies past the first one
+    ring = PolyRing(field, [f"x{i}" for i in range(9)])
+    x = ring.gens()
+    rng = random.Random(29)
+    cases = [
+        ([x[0] * x[8] - x[1] * x[7], x[8] * (x[2] - x[3]), x[8] ** 2 * x[4] - 2 * x[5]], x[8]),
+        ([x[0] * x[1] - x[2] ** 2, x[0] * (x[3] - 3 * x[4]), x[0] * x[5] * x[6]], x[0]),
+        ([x[6] * (x[7] ** 2 - x[8]), x[7] * (x[1] - x[2] * x[3])], x[6] * x[7]),
+    ]
+    for _ in range(4):
+        gens = []
+        for _ in range(3):
+            a, b = (
+                MultiPoly(ring, {tuple(rng.randint(0, 1) for _ in range(9)): 1})
+                for _ in range(2)
+            )
+            gens.append(a - rng.choice([1, 2, 3]) * b)
+        cases.append((gens, x[rng.randrange(9)]))
+    aux_bearing = 0
+    for gens, f in cases:
+        I = PolyIdeal(ring, gens)
+        kept, packed, basis = _saturate_through_multipolys(I, f)
+        aux_bearing += sum(g.degree_in("ysat") > 0 for g in basis)
+        out = saturate(I, f)
+        assert out.kernel_basis() == packed
+        assert [list(g.terms.items()) for g in out.generators] == [
+            list(g.terms.items()) for g in kept
+        ]
+        assert out.order == "grevlex" and out.groebner_basis() == kept
+    assert aux_bearing >= len(cases)
+
+
+def test_trailing_key_is_the_grevlex_key_of_the_trailing_block():
+    block = get_packing(10, ("block", 1))
+    grevlex = get_packing(9, "grevlex")
+    rng = random.Random(7)
+    for _ in range(50):
+        e = tuple(rng.randint(0, 5) for _ in range(9))
+        assert block.trailing_key(block.pack((0,) + e)) == grevlex.pack(e)
+        assert block.trailing_key(block.pack((rng.randint(1, 5),) + e)) == -1
+    block3 = get_packing(5, ("block", 3))
+    assert block3.trailing_key(block3.pack((0, 0, 0, 2, 1))) == get_packing(2, "grevlex").pack((2, 1))
+    assert block3.trailing_key(block3.pack((0, 1, 0, 2, 1))) == -1
+    with pytest.raises(ValueError):
+        grevlex.trailing_key(grevlex.pack((0,) * 9))
 
 
 def test_minors_examples():

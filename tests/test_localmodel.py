@@ -1,9 +1,11 @@
+import itertools
 import time
 
 import pytest
 
-from latmod import verify
-from latmod.chains import ChainSpec
+from latmod import polymat, schemes, verify
+from latmod.chains import ChainSpec, shift_matrix_power
+from latmod.ideals import minors
 from latmod.errors import ResourceLimitError
 from latmod.poly import PolyRing, QQ
 from latmod.schemes import (
@@ -25,6 +27,43 @@ def test_lm_2_1_1_standard_chart():
     assert len(lm.generators) == 2
     w0, w1, t = lm.ring.gens()
     assert all(g == w0 * w1 - t for g in lm.generators)
+
+
+def _chain_minors_direct(spec, pivots):
+    """Every slot's nonzero (r+1)-minors of [T^{d_i} M_i | M_{i-1}], built
+    in the chart's own ring with no sharing between charts."""
+    names = schemes.frame_names(spec, pivots)
+    ring = PolyRing(QQ, [v for rows in names for row in rows for v in row] + ["t"])
+    frames = []
+    for piv, rows in zip(pivots, names):
+        frame = [[ring.zero] * spec.r for _ in range(spec.n)]
+        for a, row in enumerate(rows):
+            for k in range(spec.r):
+                frame[a][k] = ring.var(row[k]) if row else ring.const(int(piv[k] == a))
+        frames.append(frame)
+    gens = []
+    for i in range(spec.N + 1):
+        alpha = shift_matrix_power(spec.n, spec.step(i), ring)
+        stacked = polymat.hstack(polymat.matmul(alpha, frames[i]), frames[i - 1])
+        gens += [m for m in minors(stacked, spec.r + 1) if not m.is_zero()]
+    return gens
+
+
+def test_chain_conditions_are_shared_between_charts():
+    spec = ChainSpec(3, 2, 2, (1, 1, 1))
+    charts = list(itertools.product(itertools.combinations(range(3), 2), repeat=3))
+    schemes._chain_condition.cache_clear()
+    cold = [local_model_ideal(spec, p).generators for p in charts]
+    # 3 pivot sets per slot, so 3 slots x 9 (pivots, previous pivots) pairs
+    assert schemes._chain_condition.cache_info().currsize == 27
+    warm = [local_model_ideal(spec, p).generators for p in charts]
+    for p, a, b in zip(charts, cold, warm):
+        direct = _chain_minors_direct(spec, p)
+        for gens in (a, b):
+            assert [list(g.terms.items()) for g in gens] == [
+                list(g.terms.items()) for g in direct
+            ]
+            assert all(g.ring == direct[0].ring for g in gens)
 
 
 def test_lm_rejects_bad_pivots():
